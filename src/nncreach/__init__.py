@@ -35,7 +35,6 @@ from .embedding import (
     OpenLoopSystem,
     build_tight_decomposition,
     closed_decomposition,
-    lti_step,
     open_embedding_field,
 )
 from .partition import (
@@ -50,8 +49,6 @@ from .partition import (
 from .contraction import (
     ContractionEstimate,
     estimate_contraction,
-    estimate_cx,
-    estimate_lipschitz,
     error_bound,
     composite_rate_bound,
 )

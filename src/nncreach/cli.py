@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=None,
                         help="repetitions (bench) / trajectory count (mc)")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap; 1 selects the sequential reference path")
+                        help="accepted for compatibility and ignored; runs are "
+                             "single-threaded")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (dotted path)")
     return parser
@@ -82,7 +83,7 @@ def _write_json(path: Path, data: dict) -> None:
 def cmd_reach(args) -> int:
     cfg, out_dir = _load(args)
     exp = build_experiment(cfg)
-    tube, summary = run_experiment(exp, threads=max(1, args.threads))
+    tube, summary = run_experiment(exp)
     tube.write_csv(out_dir / "tube.csv")
     _write_json(out_dir / "summary.json", summary)
     print(
@@ -104,8 +105,7 @@ def cmd_bench(args) -> int:
     volumes = []
     for _ in range(reps):
         start = time.perf_counter()
-        tube = compute_reachable_set(exp.root_box, exp.params, exp.model,
-                                     threads=max(1, args.threads))
+        tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
         timings.append(time.perf_counter() - start)
         hull = tube.final_hull()
         volumes.append(float(np.prod(hull.width)))
@@ -125,8 +125,10 @@ def cmd_bench(args) -> int:
 def cmd_mc(args) -> int:
     cfg, out_dir = _load(args)
     count = args.reps if args.reps is not None else cfg.mc_trajectories
+    if count < 1:
+        raise ConfigError("mc needs at least 1 trajectory")
     exp = build_experiment(cfg)
-    tube, summary = run_experiment(exp, threads=max(1, args.threads))
+    tube, summary = run_experiment(exp)
     times, traj = sample_trajectories(exp.model, exp.root_box, count, cfg.seed)
     report = containment_check(tube, traj)
     n = traj.shape[2]
@@ -154,7 +156,7 @@ def cmd_mc(args) -> int:
 def cmd_bounds(args) -> int:
     cfg, out_dir = _load(args)
     exp = build_experiment(cfg)
-    tube, summary = run_experiment(exp, threads=max(1, args.threads))
+    tube, summary = run_experiment(exp)
     stride = max(1, (len(tube.times) - 1) // 16)
     region = region_from_tube(tube, stride=stride)
     domain = region_domain(region)

@@ -16,15 +16,8 @@ import numpy as np
 
 from .intervals import IntervalVector, ToleranceVector
 from .networks import MLPNetwork
-from .partition import (
-    AlgorithmParams,
-    ContinuousClosedLoopModel,
-    DiscreteLTIModel,
-    ReachTube,
-    compute_reachable_set,
-)
-from .systems import DoubleIntegratorSystem, VehicleSystem, get_system
-from .embedding import OpenLoopSystem
+from .partition import AlgorithmParams, ReachTube, compute_reachable_set
+from .systems import get_system
 from .volume import hull_volume, union_area_raster
 
 __all__ = [
@@ -58,6 +51,14 @@ def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _as_int(value, where: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _float_list(values, where: str) -> list[float]:
@@ -146,8 +147,9 @@ class ExperimentConfig:
         gamma = _as_float(alg.get("gamma", 1.0), "config.algorithm.gamma")
         if not 0.0 < gamma <= 1.0:
             raise ConfigError(f"config.algorithm.gamma must be in (0, 1], got {gamma}")
-        depth_max = int(alg.get("depth_max", 0))
-        nn_depth_max = int(alg.get("nn_depth_max", 0))
+        depth_max = _as_int(alg.get("depth_max", 0), "config.algorithm.depth_max")
+        nn_depth_max = _as_int(alg.get("nn_depth_max", 0),
+                               "config.algorithm.nn_depth_max")
         if depth_max < 0 or nn_depth_max < 0:
             raise ConfigError("config.algorithm: depth budgets must be non-negative")
         mode = alg.get("mode", "adaptive")
@@ -175,9 +177,10 @@ class ExperimentConfig:
             depth_max=depth_max,
             nn_depth_max=nn_depth_max,
             mode=mode,
-            seed=int(data.get("seed", 0)),
-            repetitions=int(data.get("repetitions", 1)),
-            mc_trajectories=int(data.get("mc_trajectories", 200)),
+            seed=_as_int(data.get("seed", 0), "config.seed"),
+            repetitions=_as_int(data.get("repetitions", 1), "config.repetitions"),
+            mc_trajectories=_as_int(data.get("mc_trajectories", 200),
+                                    "config.mc_trajectories"),
             output_dir=str(data.get("output_dir", "out")),
         )
 
@@ -281,26 +284,18 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         except ValueError as exc:
             raise ConfigError(f"config.disturbance: {exc}") from None
 
-    if isinstance(system, DoubleIntegratorSystem):
-        steps = cfg.horizon / (cfg.control_period or 1.0)
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError("config.horizon must be a whole number of steps")
-        model = DiscreteLTIModel(system.A, system.B, net, int(round(steps)),
-                                 w_box=w_box)
-    else:
-        olsys = system.open_loop() if isinstance(system, VehicleSystem) else system
-        if not isinstance(olsys, OpenLoopSystem):
-            raise ConfigError(
-                f"config.system: {cfg.system!r} does not provide open-loop dynamics"
-            )
-        try:
-            model = ContinuousClosedLoopModel(
-                olsys, net, horizon=cfg.horizon, dt=cfg.dt,
-                control_period=cfg.control_period,
-                control_instants=cfg.control_instants, w_box=w_box,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}") from None
+    if not hasattr(system, "build_model"):
+        raise ConfigError(
+            f"config.system: {cfg.system!r} does not provide a closed-loop model"
+        )
+    try:
+        model = system.build_model(
+            net, horizon=cfg.horizon, dt=cfg.dt,
+            control_period=cfg.control_period,
+            control_instants=cfg.control_instants, w_box=w_box,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from None
 
     if root_box.n != model.n:
         raise ConfigError(
@@ -326,10 +321,10 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
                       net=net)
 
 
-def run_experiment(exp: Experiment, threads: int = 1):
+def run_experiment(exp: Experiment):
     """Compute the reach tube and a machine-readable summary."""
     t_start = time.perf_counter()
-    tube = compute_reachable_set(exp.root_box, exp.params, exp.model, threads=threads)
+    tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
     wall = time.perf_counter() - t_start
     summary = summarize(exp, tube, wall)
     return tube, summary

@@ -15,15 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import InclusionFunction
-from .embedding import ClosedLoopEmbedding, DiscreteLTIEmbedding, OpenLoopSystem
 from .intervals import IntervalVector, interval_hull, matrix_measure_inf
 
 __all__ = [
     "ContractionEstimate",
     "estimate_contraction",
-    "estimate_cx",
-    "estimate_lipschitz",
     "error_bound",
     "composite_rate_bound",
     "fd_jacobian",
@@ -165,77 +161,19 @@ def _sample_pairs(box: IntervalVector, grid_density: int, samples_per_box: int):
     return pairs
 
 
-def _open_field_total(sys: OpenLoopSystem, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
-    """Open-loop embedding field, tolerant of slightly crossed pairs.
-
-    Finite differencing perturbs one endpoint at a time, which can cross
-    a degenerate axis; spans are therefore formed with componentwise
-    min/max while the face pins keep the true endpoint values.
-    """
-    n = sys.n
-    idx = np.arange(n)
-    if sys.extension is not None:
-        span_lo = np.minimum(a, b)
-        span_hi = np.maximum(a, b)
-        Xlo = np.tile(span_lo, (2 * n, 1))
-        Xhi = np.tile(span_hi, (2 * n, 1))
-        Xlo[idx, idx] = a[idx]
-        Xhi[idx, idx] = a[idx]
-        Xlo[n + idx, idx] = b[idx]
-        Xhi[n + idx, idx] = b[idx]
-        Ulo = np.tile(np.minimum(ulo, uhi), (2 * n, 1))
-        Uhi = np.tile(np.maximum(ulo, uhi), (2 * n, 1))
-        Wlo = np.tile(np.minimum(wlo, whi), (2 * n, 1))
-        Whi = np.tile(np.maximum(wlo, whi), (2 * n, 1))
-        flo, fhi = sys.extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)
-        out = np.empty(2 * n)
-        out[:n] = flo[idx, idx]
-        out[n:] = fhi[n + idx, idx]
-        return out
-    lower = sys.d(a, b, ulo, uhi, wlo, whi)
-    upper = sys.d(b, a, uhi, ulo, whi, wlo)
-    return np.concatenate([lower, upper])
-
-
-def _analysis_fields(emb):
-    """Closed-loop field, open-loop field, and dimensions for an embedding."""
+def _closed_field(emb):
+    """Embedding field with the relaxation applied at the evaluation state."""
     incl = emb.incl
     if incl is None:
         raise RuntimeError("embedding has no inclusion function; call refresh_control")
-    if isinstance(emb, DiscreteLTIEmbedding):
-        n = emb.n
-        p = emb.p
-        q = 0
-        A, B = emb.A, emb.B
-        Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
-        Bp, Bn = np.maximum(B, 0.0), np.minimum(B, 0.0)
-
-        def open_field(a, b, ulo, uhi, wlo, whi):
-            return np.concatenate([
-                Ap @ a + An @ b + Bp @ ulo + Bn @ uhi,
-                An @ a + Ap @ b + Bn @ ulo + Bp @ uhi,
-            ])
-
-        def closed_field(s):
-            a, c = s[:n], s[n:]
-            ulo, uhi = incl(a, c, check=False)
-            return open_field(a, c, ulo, uhi, None, None)
-
-        return closed_field, open_field, n, p, q, np.zeros(0), np.zeros(0)
-
-    sys = emb.sys
-    n, p, q = sys.n, sys.p, sys.q
-    wlo, whi = emb.w_lo, emb.w_hi
-
-    def open_field(a, b, ulo, uhi, wl, wh):
-        return _open_field_total(sys, a, b, ulo, uhi, wl, wh)
+    n = emb.n
 
     def closed_field(s):
         a, b = s[:n], s[n:]
         ulo, uhi = incl(a, b, check=False)
-        return _open_field_total(sys, a, b, ulo, uhi, wlo, whi)
+        return emb.open_field(a, b, ulo, uhi, emb.w_lo, emb.w_hi)
 
-    return closed_field, open_field, n, p, q, wlo, whi
+    return closed_field
 
 
 def estimate_contraction(emb, region, grid_density: int = 5,
@@ -246,12 +184,15 @@ def estimate_contraction(emb, region, grid_density: int = 5,
     The closed-loop rate, the open-loop rate, and the input/disturbance
     Lipschitz estimates are evaluated at identical state pairs, so the
     composite bound is directly comparable against the closed-loop
-    estimate.
+    estimate.  ``emb`` is either embedding after ``refresh_control``; it
+    supplies the dimensions, the disturbance box and ``open_field``.
     """
     region = list(region)
     if not region:
         raise ValueError("region must contain at least one box")
-    closed_field, open_field, n, p, q, wlo, whi = _analysis_fields(emb)
+    closed_field = _closed_field(emb)
+    open_field = emb.open_field
+    n, p, q, wlo, whi = emb.n, emb.p, emb.q, emb.w_lo, emb.w_hi
     domain = emb.incl.domain
     for box in region:
         if not domain.contains_box(box, slack=1e-9):
@@ -304,21 +245,6 @@ def estimate_contraction(emb, region, grid_density: int = 5,
         method="grid" if n_axis_pairs ** n <= 512 else "sample",
         sample_count=count,
     )
-
-
-def estimate_cx(emb, region, grid_density: int = 5,
-                samples_per_box: int = 32, fd_step: float = 1e-6) -> float:
-    """Sampled maximum of the closed-loop embedding Jacobian's matrix measure."""
-    return estimate_contraction(emb, region, grid_density, samples_per_box,
-                                fd_step).c_x
-
-
-def estimate_lipschitz(emb, region, grid_density: int = 5,
-                       samples_per_box: int = 32, fd_step: float = 1e-6):
-    """Sampled ``(l_u, l_w, lip_inf)`` over the region."""
-    est = estimate_contraction(emb, region, grid_density, samples_per_box,
-                               fd_step)
-    return est.l_u, est.l_w, est.lip_inf
 
 
 def region_from_tube(tube, stride: int = 1):

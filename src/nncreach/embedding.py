@@ -33,7 +33,6 @@ __all__ = [
     "open_embedding_field",
     "open_loop_field",
     "closed_decomposition",
-    "lti_step",
 ]
 
 _EXTENSION_TOL = 1e-9
@@ -134,6 +133,16 @@ class OpenLoopSystem:
         tag = self.name or "anonymous"
         return f"OpenLoopSystem({tag}, n={self.n}, p={self.p}, q={self.q})"
 
+    def build_model(self, net, horizon: float, dt: float, control_period=None,
+                    control_instants=None, w_box=None):
+        """Sampled-data loop of this plant with controller ``net``, Euler-integrated."""
+        from .partition import ContinuousClosedLoopModel  # partition imports this module
+
+        return ContinuousClosedLoopModel(self, net, horizon=horizon, dt=dt,
+                                         control_period=control_period,
+                                         control_instants=control_instants,
+                                         w_box=w_box)
+
 
 def _require_pair(pair, dim, what):
     if isinstance(pair, IntervalVector):
@@ -182,7 +191,49 @@ def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_p
     return open_loop_field(sys, state.lo, state.hi, ulo, uhi, wlo, whi)
 
 
-class ClosedLoopEmbedding:
+class _FrozenControlEmbedding:
+    """What both embeddings share: a controller relaxation frozen over one
+    control interval and the fixed-step integration loop.
+
+    Subclasses provide ``n``, ``incl`` and ``_next_state(lo, hi, dt)``,
+    the state one step later.
+    """
+
+    def _control_inclusion(self, box: IntervalVector, reverify: bool, net,
+                           inherited: InclusionFunction | None) -> InclusionFunction:
+        """Relaxation for a refresh at ``box`` (see ``refresh_control``)."""
+        if reverify:
+            if net is None:
+                raise ValueError("re-verification requires the network")
+            return make_inclusion(crown_bounds(net, box))
+        incl = inherited if inherited is not None else self.incl
+        if incl is None:
+            raise ValueError("no inclusion function available to inherit")
+        incl.check_domain(box.lo, box.hi)
+        return incl
+
+    def integrate(self, lo, hi, dt: float, steps: int, order_tol: float = 1e-9) -> np.ndarray:
+        """Integrate the embedding ``steps`` steps; returns ``(steps+1, 2, n)``.
+
+        Raises :class:`EmbeddingOrderError` if the state loses its ordering.
+        """
+        traj = np.empty((steps + 1, 2, self.n))
+        cur_lo = np.array(lo, dtype=float)
+        cur_hi = np.array(hi, dtype=float)
+        traj[0, 0] = cur_lo
+        traj[0, 1] = cur_hi
+        for k in range(steps):
+            cur_lo, cur_hi = self._next_state(cur_lo, cur_hi, dt)
+            if np.any(cur_hi - cur_lo < -order_tol):
+                raise EmbeddingOrderError(
+                    f"embedding state lost ordering at step {k + 1}"
+                )
+            traj[k + 1, 0] = cur_lo
+            traj[k + 1, 1] = cur_hi
+        return traj
+
+
+class ClosedLoopEmbedding(_FrozenControlEmbedding):
     """Embedding dynamics of the sampled-data neural-network loop.
 
     Holds the network inclusion function frozen over one control interval
@@ -194,6 +245,7 @@ class ClosedLoopEmbedding:
 
     def __init__(self, sys: OpenLoopSystem, w_box=None):
         self.sys = sys
+        self.n, self.p, self.q = sys.n, sys.p, sys.q
         if w_box is None:
             self.w_lo = np.zeros(sys.q)
             self.w_hi = np.zeros(sys.q)
@@ -218,16 +270,7 @@ class ClosedLoopEmbedding:
         the inherited inclusion function is reused, which requires ``box``
         to lie inside its domain.
         """
-        if reverify:
-            if net is None:
-                raise ValueError("re-verification requires the network")
-            self.incl = make_inclusion(crown_bounds(net, box))
-        else:
-            incl = inherited if inherited is not None else self.incl
-            if incl is None:
-                raise ValueError("no inclusion function available to inherit")
-            incl.check_domain(box.lo, box.hi)
-            self.incl = incl
+        self.incl = self._control_inclusion(box, reverify, net, inherited)
         n = self.sys.n
         lo, hi = box.lo, box.hi
         idx = np.arange(n)
@@ -289,28 +332,43 @@ class ClosedLoopEmbedding:
                                self.w_hi, self.w_lo)[i]
         return out
 
-    def integrate(self, lo, hi, dt: float, steps: int, order_tol: float = 1e-9) -> np.ndarray:
-        """Euler-integrate the embedding; returns ``(steps+1, 2, n)``.
+    def _next_state(self, lo, hi, dt):
+        rate = self.field(lo, hi)
+        return lo + dt * rate[:self.n], hi + dt * rate[self.n:]
 
-        Raises :class:`EmbeddingOrderError` if the state loses its ordering.
+    def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
+        """Open-loop embedding field, tolerant of slightly crossed pairs.
+
+        Finite differencing perturbs one endpoint at a time, which can cross
+        a degenerate axis; spans are therefore formed with componentwise
+        min/max while the face pins keep the true endpoint values.  (On
+        crossed pairs :func:`open_loop_field` instead falls back to the
+        decomposition ``d``, so the two are not interchangeable.)
         """
-        n = self.sys.n
-        traj = np.empty((steps + 1, 2, n))
-        cur_lo = np.array(lo, dtype=float)
-        cur_hi = np.array(hi, dtype=float)
-        traj[0, 0] = cur_lo
-        traj[0, 1] = cur_hi
-        for k in range(steps):
-            rate = self.field(cur_lo, cur_hi)
-            cur_lo = cur_lo + dt * rate[:n]
-            cur_hi = cur_hi + dt * rate[n:]
-            if np.any(cur_hi - cur_lo < -order_tol):
-                raise EmbeddingOrderError(
-                    f"embedding state lost ordering at step {k + 1}"
-                )
-            traj[k + 1, 0] = cur_lo
-            traj[k + 1, 1] = cur_hi
-        return traj
+        sys = self.sys
+        n = sys.n
+        idx = np.arange(n)
+        if sys.extension is not None:
+            span_lo = np.minimum(a, b)
+            span_hi = np.maximum(a, b)
+            Xlo = np.tile(span_lo, (2 * n, 1))
+            Xhi = np.tile(span_hi, (2 * n, 1))
+            Xlo[idx, idx] = a[idx]
+            Xhi[idx, idx] = a[idx]
+            Xlo[n + idx, idx] = b[idx]
+            Xhi[n + idx, idx] = b[idx]
+            Ulo = np.tile(np.minimum(ulo, uhi), (2 * n, 1))
+            Uhi = np.tile(np.maximum(ulo, uhi), (2 * n, 1))
+            Wlo = np.tile(np.minimum(wlo, whi), (2 * n, 1))
+            Whi = np.tile(np.maximum(wlo, whi), (2 * n, 1))
+            flo, fhi = sys.extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)
+            out = np.empty(2 * n)
+            out[:n] = flo[idx, idx]
+            out[n:] = fhi[n + idx, idx]
+            return out
+        lower = sys.d(a, b, ulo, uhi, wlo, whi)
+        upper = sys.d(b, a, uhi, ulo, whi, wlo)
+        return np.concatenate([lower, upper])
 
 
 def closed_decomposition(emb: ClosedLoopEmbedding, state: EmbeddingState,
@@ -338,13 +396,16 @@ def closed_decomposition(emb: ClosedLoopEmbedding, state: EmbeddingState,
     return out
 
 
-class DiscreteLTIEmbedding:
+class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     """One-step interval map for ``x+ = A x + B N(x)``.
 
     Uses the per-step linear relaxation of the controller to form
     ``M_lo = A + B+ C_lo + B- C_hi`` and ``M_hi = A + B+ C_hi + B- C_lo``;
-    the update splits both into positive and negative parts.
+    the update splits both into positive and negative parts.  The map
+    takes no disturbance (``q = 0``).
     """
+
+    q = 0
 
     def __init__(self, A, B):
         self.A = np.asarray(A, dtype=float)
@@ -353,8 +414,11 @@ class DiscreteLTIEmbedding:
             raise ValueError("A must be square")
         if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
             raise ValueError("B must be n x p")
+        self._Ap = np.maximum(self.A, 0.0)
+        self._An = np.minimum(self.A, 0.0)
         self._Bp = np.maximum(self.B, 0.0)
         self._Bn = np.minimum(self.B, 0.0)
+        self.w_lo = self.w_hi = np.zeros(0)
         self.incl: InclusionFunction | None = None
         self.box: IntervalVector | None = None
         self.interval_index: int | None = None
@@ -372,16 +436,7 @@ class DiscreteLTIEmbedding:
                         inherited: InclusionFunction | None = None,
                         interval_index: int = 0) -> None:
         """Refresh the relaxation tuple and rebuild the split update matrices."""
-        if reverify:
-            if net is None:
-                raise ValueError("re-verification requires the network")
-            self.incl = make_inclusion(crown_bounds(net, box))
-        else:
-            incl = inherited if inherited is not None else self.incl
-            if incl is None:
-                raise ValueError("no inclusion function available to inherit")
-            incl.check_domain(box.lo, box.hi)
-            self.incl = incl
+        self.incl = self._control_inclusion(box, reverify, net, inherited)
         lb = self.incl.bounds
         M_lo = self.A + self._Bp @ lb.C_lo + self._Bn @ lb.C_hi
         M_hi = self.A + self._Bp @ lb.C_hi + self._Bn @ lb.C_lo
@@ -406,26 +461,12 @@ class DiscreteLTIEmbedding:
         new_hi = Mhn @ lo + Mhp @ hi + bhi
         return new_lo, new_hi
 
-    def integrate(self, lo, hi, dt: float, steps: int, order_tol: float = 1e-9) -> np.ndarray:
-        traj = np.empty((steps + 1, 2, self.n))
-        cur_lo = np.array(lo, dtype=float)
-        cur_hi = np.array(hi, dtype=float)
-        traj[0, 0] = cur_lo
-        traj[0, 1] = cur_hi
-        for k in range(steps):
-            cur_lo, cur_hi = self.step(cur_lo, cur_hi)
-            if np.any(cur_hi - cur_lo < -order_tol):
-                raise EmbeddingOrderError(
-                    f"embedding state lost ordering at step {k + 1}"
-                )
-            traj[k + 1, 0] = cur_lo
-            traj[k + 1, 1] = cur_hi
-        return traj
+    def _next_state(self, lo, hi, dt):
+        return self.step(lo, hi)
 
-
-def lti_step(emb: DiscreteLTIEmbedding, state: EmbeddingState) -> EmbeddingState:
-    """Advance the discrete-time embedding one step (ordered states only)."""
-    if not state.ordered:
-        raise EmbeddingOrderError("discrete embedding step requires an ordered state")
-    lo, hi = emb.step(state.lo, state.hi)
-    return EmbeddingState(lo, hi)
+    def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
+        """Open-loop one-step map on a pair; the disturbance arguments are unused."""
+        return np.concatenate([
+            self._Ap @ a + self._An @ b + self._Bp @ ulo + self._Bn @ uhi,
+            self._An @ a + self._Ap @ b + self._Bn @ ulo + self._Bp @ uhi,
+        ])

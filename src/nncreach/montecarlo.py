@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import DiscreteLTIModel, ReachTube
+from .partition import ReachTube
 
 __all__ = ["sample_trajectories", "containment_check", "ContainmentReport"]
 
@@ -35,28 +35,9 @@ def sample_trajectories(model, init_box, count: int, seed: int):
     traj = np.empty((count, len(times), n))
     traj[:, 0] = x
 
-    discrete = isinstance(model, DiscreteLTIModel)
-    if discrete:
-        q = 0
-    else:
-        emb = model.make_embedding()
-        w_lo, w_hi = emb.w_lo, emb.w_hi
-        q = w_lo.shape[0]
-
     k = 0
     for j in range(1, model.num_intervals + 1):
-        u = model.net(x)
-        if discrete:
-            x = x @ model.A.T + u @ model.B.T
-            k += 1
-            traj[:, k] = x
-            continue
-        if q:
-            w = rng.uniform(w_lo, w_hi, size=(count, q))
-        else:
-            w = np.zeros((count, 0))
-        for _ in range(model.interval_steps(j)):
-            x = x + model.dt * model.sys.f(x, u, w)
+        for x in model.simulate_interval(x, j, rng):
             k += 1
             traj[:, k] = x
     return times, traj

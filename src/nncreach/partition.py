@@ -16,7 +16,6 @@ re-evaluating the face caches on their own (smaller) box.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 import warnings
@@ -24,7 +23,12 @@ import warnings
 import numpy as np
 
 from .bounds import InclusionFunction, crown_bounds, make_inclusion
-from .embedding import ClosedLoopEmbedding, DiscreteLTIEmbedding, OpenLoopSystem
+from .embedding import (
+    ClosedLoopEmbedding,
+    DiscreteLTIEmbedding,
+    OpenLoopSystem,
+    _require_pair,
+)
 from .intervals import (
     IntervalVector,
     ToleranceVector,
@@ -58,7 +62,8 @@ class AlgorithmParams:
     the fraction of each control interval integrated before the width at
     the interval end is extrapolated; ``gamma = 1`` checks the true final
     width.  ``depth_max`` caps the tree depth, ``nn_depth_max`` caps the
-    depth at which the network relaxation is recomputed.  Mode
+    depth at which the network relaxation is recomputed (values above
+    ``depth_max`` act as ``depth_max``).  Mode
     ``"uniform"`` pre-partitions the initial set to ``depth_max`` and
     disables the width trigger (the non-adaptive baseline).
     """
@@ -80,9 +85,9 @@ class AlgorithmParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.nn_depth_max > self.depth_max:
             warnings.warn(
-                "nn_depth_max exceeds depth_max; the extra verification depth "
-                "can never be reached",
-                stacklevel=2,
+                f"nn_depth_max={self.nn_depth_max} exceeds depth_max="
+                f"{self.depth_max}; verification depth is capped at depth_max",
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -218,6 +223,10 @@ class ContinuousClosedLoopModel:
         total = sum(self._steps)
         self.times = self.t0 + self.dt * np.arange(total + 1)
         self.w_box = w_box
+        if w_box is None:
+            self._w_lo = self._w_hi = np.zeros(sys.q)
+        else:
+            self._w_lo, self._w_hi = _require_pair(w_box, sys.q, "disturbance")
 
     @property
     def n(self) -> int:
@@ -238,6 +247,23 @@ class ContinuousClosedLoopModel:
 
     def advance(self, emb, lo, hi, steps: int) -> np.ndarray:
         return emb.integrate(lo, hi, self.dt, steps)
+
+    def simulate_interval(self, x, j: int, rng):
+        """Yield the sampled states ``(count, n)`` after each step of interval ``j``.
+
+        The control is held over the interval; with ``q > 0`` one
+        disturbance per trajectory is drawn from ``rng``, uniform on the
+        disturbance box and constant over the interval.
+        """
+        u = self.net(x)
+        q = self.sys.q
+        if q:
+            w = rng.uniform(self._w_lo, self._w_hi, size=(x.shape[0], q))
+        else:
+            w = np.zeros((x.shape[0], 0))
+        for _ in range(self.interval_steps(j)):
+            x = x + self.dt * self.sys.f(x, u, w)
+            yield x
 
 
 class DiscreteLTIModel:
@@ -277,6 +303,11 @@ class DiscreteLTIModel:
     def advance(self, emb, lo, hi, steps: int) -> np.ndarray:
         return emb.integrate(lo, hi, self.dt, steps)
 
+    def simulate_interval(self, x, j: int, rng):
+        """Yield the sampled states ``(count, n)`` after the one map step of interval ``j``."""
+        u = self.net(x)
+        yield x @ self.A.T + u @ self.B.T
+
 
 # ---------------------------------------------------------------------------
 # The stepping procedure.
@@ -301,8 +332,7 @@ def _predicate_fires(w0: float, w_probe: float, inv_gamma_eff: float) -> bool:
     return inv_gamma_eff * math.log(w_probe / w0) + math.log(w0) > 0.0
 
 
-def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams,
-          model, executor=None):
+def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams, model):
     """Advance one subtree across control interval ``j``.
 
     Returns ``(leaf trajectories, nn calls, subdivisions)``; mutates the
@@ -353,19 +383,9 @@ def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams,
             node.box = IntervalVector(traj[-1, 0], traj[-1, 1])
             return [traj], nn_calls, subdivisions
 
-    if executor is not None and node.depth == 0 and len(node.children) > 1:
-        futures = [
-            executor.submit(_step, child, eff, j, params, model, None)
-            for child in node.children
-        ]
-        results = [f.result() for f in futures]
-    else:
-        results = [
-            _step(child, eff, j, params, model, executor)
-            for child in node.children
-        ]
     trajs = []
-    for child_trajs, calls, subs in results:
+    for child in node.children:
+        child_trajs, calls, subs = _step(child, eff, j, params, model)
         trajs.extend(child_trajs)
         nn_calls += calls
         subdivisions += subs
@@ -385,7 +405,7 @@ def _build_uniform_tree(box: IntervalVector, depth_max: int, nn_depth: int,
 
 
 def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
-                          model, threads: int = 1) -> ReachTube:
+                          model) -> ReachTube:
     """Run the adaptive (or uniform) partitioning loop over all intervals.
 
     Returns the concatenated reach tube from the initial time to the
@@ -398,24 +418,21 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
     if params.eps.n != model.n:
         raise ValueError("eps must have one entry per state dimension")
     if params.mode == "uniform":
-        root = _build_uniform_tree(root_box, params.depth_max, params.nn_depth_max)
+        # adaptive trees never grow past depth_max, so flags deeper than
+        # that are capped the same way here
+        root = _build_uniform_tree(root_box, params.depth_max,
+                                   min(params.nn_depth_max, params.depth_max))
     else:
         root = PartitionNode(root_box, nn_flag=True, depth=0)
 
     boxes = [root_box.as_array()[None, :, :]]
     stats = []
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for j in range(1, model.num_intervals + 1):
-            trajs, nn_calls, subdivisions = _step(root, None, j, params, model,
-                                                  executor)
-            for k in range(1, model.interval_steps(j) + 1):
-                boxes.append(np.stack([t[k] for t in trajs]))
-            leaves, max_depth, _ = tree_stats(root)
-            assert max_depth <= params.depth_max, "depth budget violated"
-            stats.append(StepStats(j, model.instants[j], leaves, max_depth,
-                                   nn_calls, subdivisions))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for j in range(1, model.num_intervals + 1):
+        trajs, nn_calls, subdivisions = _step(root, None, j, params, model)
+        for k in range(1, model.interval_steps(j) + 1):
+            boxes.append(np.stack([t[k] for t in trajs]))
+        leaves, max_depth, _ = tree_stats(root)
+        assert max_depth <= params.depth_max, "depth budget violated"
+        stats.append(StepStats(j, model.instants[j], leaves, max_depth,
+                               nn_calls, subdivisions))
     return ReachTube(times=model.times, boxes=boxes, interval_stats=stats)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .embedding import OpenLoopSystem
 from .intervals import interval_cos, interval_mul, interval_sin
+from .partition import DiscreteLTIModel
 
 __all__ = [
     "VehicleSystem",
@@ -107,6 +108,12 @@ class VehicleSystem:
         return OpenLoopSystem(self.n, self.p, self.q, self.f,
                               extension=self.extension, name="vehicle")
 
+    def build_model(self, net, horizon: float, dt: float, control_period=None,
+                    control_instants=None, w_box=None):
+        """Sampled-data loop of the open-loop vehicle with controller ``net``."""
+        return self.open_loop().build_model(net, horizon, dt, control_period,
+                                            control_instants, w_box)
+
 
 class DoubleIntegratorSystem:
     """Zero-order-hold double integrator with unit step size.
@@ -132,6 +139,22 @@ class DoubleIntegratorSystem:
     def open_loop(self) -> OpenLoopSystem:
         """Decomposition view of the one-step map (positive/negative split)."""
         return affine_system(self.A, self.B, discrete=True, name="double-integrator")
+
+    def build_model(self, net, horizon: float, dt: float, control_period=None,
+                    control_instants=None, w_box=None) -> DiscreteLTIModel:
+        """Discrete loop with one control update per unit map step.
+
+        The map has a fixed unit step, so ``dt`` and the control period
+        must both be 1 and explicit control instants are rejected.
+        """
+        if dt != 1 or control_period != 1 or control_instants is not None:
+            raise ValueError(
+                "the double integrator needs dt = 1 and control period 1 "
+                f"(got dt={dt}, period={control_period}, instants={control_instants})"
+            )
+        if abs(horizon - round(horizon)) > 1e-9:
+            raise ValueError("horizon must be a whole number of steps")
+        return DiscreteLTIModel(self.A, self.B, net, int(round(horizon)), w_box=w_box)
 
 
 def affine_system(A, B=None, D=None, const=None, discrete: bool = False,

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from nncreach import cli
+from nncreach import (
+    ContinuousClosedLoopModel,
+    OpenLoopSystem,
+    cli,
+    containment_check,
+    register_system,
+    sample_trajectories,
+)
 from nncreach.config import (
     ConfigError,
     ExperimentConfig,
@@ -113,6 +120,42 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError, match="initial_set"):
             build_experiment(ExperimentConfig.from_dict(data))
 
+    @pytest.mark.parametrize("overrides", [
+        {"dt": 0.5},
+        {"control": {"period": 5}},
+        {"control": {"instants": [0, 1, 2, 3, 4, 5]}},
+    ])
+    def test_double_integrator_rejects_time_settings(self, overrides):
+        data = di_config_dict(**overrides)
+        with pytest.raises(ConfigError, match="double integrator"):
+            build_experiment(ExperimentConfig.from_dict(data))
+
+    def test_registered_open_loop_plant_runs(self):
+        # the README recipe: a custom plant registered as an OpenLoopSystem
+        def f(x, u, w=None):
+            return np.stack([x[..., 1], u[..., 0]], axis=-1)
+
+        def extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+            return (np.stack([Xlo[:, 1], Ulo[:, 0]], axis=1),
+                    np.stack([Xhi[:, 1], Uhi[:, 0]], axis=1))
+
+        register_system("test-open-loop-di",
+                        lambda: OpenLoopSystem(2, 1, 0, f, extension=extension))
+        data = di_config_dict(system="test-open-loop-di", dt=0.1,
+                              control={"period": 0.5}, horizon=1.0)
+        exp = build_experiment(ExperimentConfig.from_dict(data))
+        assert isinstance(exp.model, ContinuousClosedLoopModel)
+        tube, summary = run_experiment(exp)
+        assert summary["final_time"] == pytest.approx(1.0)
+        _, traj = sample_trajectories(exp.model, exp.root_box, 50, seed=1)
+        assert containment_check(tube, traj).violations == 0
+
+    def test_plant_without_model_rejected(self):
+        register_system("test-no-model", lambda: object())
+        data = di_config_dict(system="test-no-model")
+        with pytest.raises(ConfigError, match="closed-loop model"):
+            build_experiment(ExperimentConfig.from_dict(data))
+
     def test_run_experiment_summary_fields(self):
         exp = build_experiment(ExperimentConfig.from_dict(di_config_dict()))
         tube, summary = run_experiment(exp)
@@ -159,6 +202,18 @@ class TestCommandLine:
         assert cli.main(["reach", "--config", str(tmp_path / "missing.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_non_integer_depth_exits_as_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, di_config_dict())
+        assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--set", "algorithm.depth_max=abc"]) == 1
+        assert "config.algorithm.depth_max" in capsys.readouterr().err
+
+    def test_mc_zero_trajectories_exits_as_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, di_config_dict())
+        assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--reps", "0"]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -200,7 +255,7 @@ class TestCommandLine:
         from nncreach.embedding import EmbeddingOrderError
         import nncreach.cli as climod
 
-        def boom(exp, threads=1):
+        def boom(exp):
             raise EmbeddingOrderError("embedding state lost ordering at step 1")
 
         monkeypatch.setattr(climod, "run_experiment", boom)

@@ -12,8 +12,6 @@ from nncreach import (
     affine_system,
     crown_bounds,
     estimate_contraction,
-    estimate_cx,
-    estimate_lipschitz,
     make_inclusion,
     error_bound,
     composite_rate_bound,
@@ -44,27 +42,27 @@ class TestEstimateCx:
         sys = affine_system(np.array([[-1.0]]), np.array([[1.0]]))
         domain = IntervalVector(np.array([-2.0]), np.array([2.0]))
         emb = embedding_for(sys, constant_inclusion(1, 1, domain))
-        assert estimate_cx(emb, [domain]) == pytest.approx(-1.0, abs=1e-5)
+        assert estimate_contraction(emb, [domain]).c_x == pytest.approx(-1.0, abs=1e-5)
 
     def test_linear_metzler_rearrangement(self):
         A = np.array([[-2.0, 1.0], [0.0, -3.0]])
         sys = affine_system(A, np.zeros((2, 1)))
         domain = IntervalVector(-np.ones(2), np.ones(2))
         emb = embedding_for(sys, constant_inclusion(2, 1, domain))
-        assert estimate_cx(emb, [domain]) == pytest.approx(-1.0, abs=1e-5)
+        assert estimate_contraction(emb, [domain]).c_x == pytest.approx(-1.0, abs=1e-5)
 
     def test_pure_integrator(self):
         sys = affine_system(np.zeros((1, 1)), np.array([[1.0]]))
         domain = IntervalVector(np.array([-1.0]), np.array([1.0]))
         emb = embedding_for(sys, constant_inclusion(1, 1, domain))
-        assert estimate_cx(emb, [domain]) == pytest.approx(0.0, abs=1e-5)
+        assert estimate_contraction(emb, [domain]).c_x == pytest.approx(0.0, abs=1e-5)
 
     def test_discrete_step_map(self, di_box):
         emb = DiscreteLTIEmbedding(np.array([[1.0, 1.0], [0.0, 1.0]]),
                                    np.array([[0.5], [1.0]]))
         emb.refresh_control(di_box, reverify=True, net=zero_network(2, 1))
         # zero controller: the step Jacobian is blkdiag(A, A), row sum 2
-        assert estimate_cx(emb, [di_box]) == pytest.approx(2.0, abs=1e-5)
+        assert estimate_contraction(emb, [di_box]).c_x == pytest.approx(2.0, abs=1e-5)
 
     def test_region_outside_domain_rejected(self):
         sys = affine_system(np.array([[-1.0]]), np.array([[1.0]]))
@@ -72,7 +70,7 @@ class TestEstimateCx:
         emb = embedding_for(sys, constant_inclusion(1, 1, domain))
         outside = IntervalVector(np.array([0.0]), np.array([2.0]))
         with pytest.raises(ValueError, match="domain"):
-            estimate_cx(emb, [outside])
+            estimate_contraction(emb, [outside])
 
     def test_monotone_in_region(self):
         rng = np.random.default_rng(3)
@@ -81,8 +79,8 @@ class TestEstimateCx:
         domain = IntervalVector(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
         emb = embedding_for(sys, make_inclusion(crown_bounds(net, domain)))
         small = IntervalVector(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        c_small = estimate_cx(emb, [small])
-        c_large = estimate_cx(emb, [small, domain])
+        c_small = estimate_contraction(emb, [small]).c_x
+        c_large = estimate_contraction(emb, [small, domain]).c_x
         assert c_large >= c_small - 1e-12
 
 
@@ -91,10 +89,10 @@ class TestEstimateLipschitz:
         sys = affine_system(np.array([[-1.0]]), np.array([[1.0]]))
         domain = IntervalVector(np.array([-2.0]), np.array([2.0]))
         emb = embedding_for(sys, constant_inclusion(1, 1, domain))
-        l_u, l_w, lip = estimate_lipschitz(emb, [domain])
-        assert l_u == pytest.approx(1.0, abs=1e-5)
-        assert l_w == 0.0
-        assert lip == 0.0
+        est = estimate_contraction(emb, [domain])
+        assert est.l_u == pytest.approx(1.0, abs=1e-5)
+        assert est.l_w == 0.0
+        assert est.lip_inf == 0.0
 
     def test_disturbance_gain(self):
         sys = affine_system(np.array([[-1.0]]), np.array([[1.0]]),
@@ -104,9 +102,9 @@ class TestEstimateLipschitz:
         emb.refresh_control(domain, reverify=False,
                             inherited=constant_inclusion(1, 1, domain),
                             interval_index=0)
-        l_u, l_w, lip = estimate_lipschitz(emb, [domain])
-        assert l_u == pytest.approx(1.0, abs=1e-5)
-        assert l_w == pytest.approx(0.5, abs=1e-5)
+        est = estimate_contraction(emb, [domain])
+        assert est.l_u == pytest.approx(1.0, abs=1e-5)
+        assert est.l_w == pytest.approx(0.5, abs=1e-5)
 
 
 class TestErrorBounds:

@@ -17,7 +17,6 @@ from nncreach import (
     affine_system,
     build_tight_decomposition,
     closed_decomposition,
-    lti_step,
     make_inclusion,
     open_embedding_field,
 )
@@ -327,9 +326,9 @@ class TestDiscreteLTIEmbedding:
                             inherited=exact_linear_inclusion(K, box))
         M = self.A + self.B @ K
         assert np.all(M >= 0)
-        state = lti_step(emb, EmbeddingState(box.lo, box.hi))
-        assert np.allclose(state.lo, M @ box.lo, atol=1e-12)
-        assert np.allclose(state.hi, M @ box.hi, atol=1e-12)
+        lo, hi = emb.step(box.lo, box.hi)
+        assert np.allclose(lo, M @ box.lo, atol=1e-12)
+        assert np.allclose(hi, M @ box.hi, atol=1e-12)
 
     def test_degenerate_state_with_exact_point_bounds(self):
         x = np.array([1.5, -0.7])
@@ -338,18 +337,18 @@ class TestDiscreteLTIEmbedding:
         emb = DiscreteLTIEmbedding(self.A, self.B)
         emb.refresh_control(box, reverify=False,
                             inherited=exact_linear_inclusion(K, box))
-        state = lti_step(emb, EmbeddingState(x, x))
+        lo, hi = emb.step(x, x)
         want = self.A @ x + self.B @ (K @ x)
-        assert np.allclose(state.lo, want, atol=1e-12)
-        assert np.allclose(state.hi, want, atol=1e-12)
+        assert np.allclose(lo, want, atol=1e-12)
+        assert np.allclose(hi, want, atol=1e-12)
 
     def test_zero_controller_benchmark_step(self, di_box):
         emb = DiscreteLTIEmbedding(self.A, self.B)
         net = zero_network(2, 1)
         emb.refresh_control(di_box, reverify=True, net=net)
-        state = lti_step(emb, EmbeddingState(di_box.lo, di_box.hi))
-        assert np.allclose(state.lo, [2.25, -0.25])
-        assert np.allclose(state.hi, [3.25, 0.25])
+        lo, hi = emb.step(di_box.lo, di_box.hi)
+        assert np.allclose(lo, [2.25, -0.25])
+        assert np.allclose(hi, [3.25, 0.25])
 
     def test_unordered_state_rejected(self):
         emb = DiscreteLTIEmbedding(self.A, self.B)

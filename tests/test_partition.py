@@ -54,6 +54,17 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError, match="mode"):
             params([1.0], mode="greedy")
 
+    @pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+    def test_nn_depth_beyond_partition_depth_is_capped(self, di_net, di_box, mode):
+        at_cap = compute_reachable_set(
+            di_box, params([0.1, 0.1], dp=2, dn=2, mode=mode), di_model(di_net))
+        with pytest.warns(UserWarning, match="capped"):
+            over = params([0.1, 0.1], dp=2, dn=3, mode=mode)
+        tube = compute_reachable_set(di_box, over, di_model(di_net))
+        assert tube.interval_stats == at_cap.interval_stats
+        for a, b in zip(tube.boxes, at_cap.boxes):
+            assert np.array_equal(a, b)
+
 
 class TestPredicate:
     def test_zero_width_never_fires(self):
@@ -209,20 +220,6 @@ class TestDeterminism:
         t1, t2 = run(), run()
         assert len(t1.boxes) == len(t2.boxes)
         for a, b in zip(t1.boxes, t2.boxes):
-            assert np.array_equal(a, b)
-
-    def test_threaded_run_identical_to_sequential(self, vehicle_net, vehicle_box):
-        from nncreach import VehicleSystem
-        sys = VehicleSystem().open_loop()
-
-        def run(threads):
-            model = ContinuousClosedLoopModel(sys, vehicle_net, horizon=0.5,
-                                              dt=0.01, control_period=0.25)
-            p = params([0.2, 0.2, INF, INF], gamma=0.1, dp=2, dn=1)
-            return compute_reachable_set(vehicle_box, p, model, threads=threads)
-
-        seq, par = run(1), run(4)
-        for a, b in zip(seq.boxes, par.boxes):
             assert np.array_equal(a, b)
 
     def test_probe_prefix_reuse_matches_plain_integration(self):
