@@ -94,12 +94,6 @@ class LinearBounds:
     d_hi: np.ndarray
     domain: IntervalVector
 
-    def lower_at(self, x) -> np.ndarray:
-        return self.C_lo @ np.asarray(x, dtype=float) + self.d_lo
-
-    def upper_at(self, x) -> np.ndarray:
-        return self.C_hi @ np.asarray(x, dtype=float) + self.d_hi
-
 
 def _relu_relaxation(zlo, zhi):
     """Slopes/intercepts of the upper and lower ReLU envelopes per neuron."""

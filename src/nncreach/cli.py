@@ -68,9 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[ExperimentConfig, Path]:
-    cfg = ExperimentConfig.load(args.config, overrides=args.set)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    # --seed is the last override, so the config's seed checks apply to it
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    cfg = ExperimentConfig.load(args.config, overrides=args.set + seed)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir

@@ -8,6 +8,7 @@ relative to the config file's directory when loaded from disk.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,13 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
+def _as_finite(value, where: str) -> float:
+    out = _as_float(value, where)
+    if not math.isfinite(out):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return out
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
@@ -61,10 +69,10 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
-def _float_list(values, where: str) -> list[float]:
+def _float_list(values, where: str, parse=_as_float) -> list[float]:
     if not isinstance(values, list):
         raise ConfigError(f"{where}: expected a list of numbers")
-    return [_as_float(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    return [parse(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 @dataclass
@@ -129,14 +137,14 @@ class ExperimentConfig:
         period = control.get("period")
         instants = control.get("instants")
         if period is not None:
-            period = _as_float(period, "config.control.period")
+            period = _as_finite(period, "config.control.period")
         if instants is not None:
-            instants = _float_list(instants, "config.control.instants")
+            instants = _float_list(instants, "config.control.instants", _as_finite)
         if period is None and instants is None:
             raise ConfigError("config.control: give a period or explicit instants")
 
-        dt = _as_float(_need(data, "dt", "config"), "config.dt")
-        horizon = _as_float(_need(data, "horizon", "config"), "config.horizon")
+        dt = _as_finite(_need(data, "dt", "config"), "config.dt")
+        horizon = _as_finite(_need(data, "horizon", "config"), "config.horizon")
 
         alg = _need(data, "algorithm", "config")
         eps_raw = _need(alg, "eps", "config.algorithm")
@@ -144,6 +152,10 @@ class ExperimentConfig:
             eps = _float_list(eps_raw, "config.algorithm.eps")
         else:
             eps = [_as_float(eps_raw, "config.algorithm.eps")] * len(lo)
+        if not all(e >= 0.0 for e in eps):  # also rejects NaN
+            raise ConfigError(
+                f"config.algorithm.eps must be non-negative (inf allowed), got {eps}"
+            )
         gamma = _as_float(alg.get("gamma", 1.0), "config.algorithm.gamma")
         if not 0.0 < gamma <= 1.0:
             raise ConfigError(f"config.algorithm.gamma must be in (0, 1], got {gamma}")
@@ -159,6 +171,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config.algorithm.mode must be 'adaptive' or 'uniform', got {mode!r}"
             )
+
+        seed = _as_int(data.get("seed", 0), "config.seed")
+        if seed < 0:
+            raise ConfigError(f"config.seed must be non-negative, got {seed}")
 
         return cls(
             system=sysname,
@@ -177,7 +193,7 @@ class ExperimentConfig:
             depth_max=depth_max,
             nn_depth_max=nn_depth_max,
             mode=mode,
-            seed=_as_int(data.get("seed", 0), "config.seed"),
+            seed=seed,
             repetitions=_as_int(data.get("repetitions", 1), "config.repetitions"),
             mc_trajectories=_as_int(data.get("mc_trajectories", 200),
                                     "config.mc_trajectories"),
@@ -231,6 +247,8 @@ class ExperimentConfig:
 
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply ``key.path=value`` overrides; values parse as JSON when possible."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
     out = json.loads(json.dumps(data))  # deep copy
     for item in overrides:
         if "=" not in item:

@@ -15,6 +15,12 @@ The closed loop with a sampled neural-network controller is handled by
 relaxed over the current box and the resulting output intervals are
 evaluated on the ``2n`` faces of that box.  Those face intervals stay
 frozen while the embedding is integrated across the control interval.
+
+The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
+``n + i`` at its upper end) is built by ``_face_rows`` and read back by
+``_face_field``; ``ClosedLoopEmbedding._face_d`` is the per-face loop for
+systems with only a decomposition ``d``.  Only the reference
+:func:`build_tight_decomposition` lays out faces on its own.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ __all__ = [
     "EmbeddingOrderError",
     "build_tight_decomposition",
     "open_embedding_field",
-    "open_loop_field",
     "closed_decomposition",
 ]
 
@@ -154,33 +159,40 @@ def _require_pair(pair, dim, what):
     return lo, hi
 
 
-def open_loop_field(sys: OpenLoopSystem, lo, hi, ulo, uhi, wlo, whi) -> np.ndarray:
-    """Open-loop embedding field ``(d(lo,hi,u,uh,w,wh), d(hi,lo,uh,u,wh,w))``."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = sys.n
-    if sys.extension is not None and np.all(lo <= hi):
-        idx = np.arange(n)
-        Xlo = np.tile(lo, (2 * n, 1))
-        Xhi = np.tile(hi, (2 * n, 1))
-        Xhi[idx, idx] = lo[idx]
-        Xlo[n + idx, idx] = hi[idx]
-        Ulo = np.tile(ulo, (2 * n, 1))
-        Uhi = np.tile(uhi, (2 * n, 1))
-        Wlo = np.tile(wlo, (2 * n, 1))
-        Whi = np.tile(whi, (2 * n, 1))
-        flo, fhi = sys.extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)
-        out = np.empty(2 * n)
-        out[:n] = flo[idx, idx]
-        out[n:] = fhi[n + idx, idx]
-        return out
-    lower = sys.d(lo, hi, ulo, uhi, wlo, whi)
-    upper = sys.d(hi, lo, uhi, ulo, whi, wlo)
-    return np.concatenate([lower, upper])
+def _face_rows(span_lo, span_hi, a, b, out=None):
+    """The ``2n`` faces of a span as row-stacked boxes ``(Xlo, Xhi)``.
+
+    Row ``i`` is the span with coordinate ``i`` pinned at ``a_i``, row
+    ``n + i`` the span with it pinned at ``b_i``.  ``out`` is an optional
+    pair of contiguous ``(2n, n)`` buffers to fill instead of allocating.
+    """
+    n = span_lo.shape[0]
+    if out is None:
+        out = (np.empty((2 * n, n)), np.empty((2 * n, n)))
+    for X, span in zip(out, (span_lo, span_hi)):
+        X[:] = span
+        flat = X.reshape(-1)  # a view, so the diagonals are pinned in place
+        flat[:n * n:n + 1] = a
+        flat[n * n::n + 1] = b
+    return out
+
+
+def _face_field(flo, fhi) -> np.ndarray:
+    """Embedding field from an enclosure over :func:`_face_rows`.
+
+    Face ``i`` contributes the lower end of ``f_i``, face ``n + i`` the
+    upper end.
+    """
+    n = flo.shape[1]
+    return np.concatenate([flo[:n].diagonal(), fhi[n:].diagonal()])
 
 
 def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_pair=None) -> np.ndarray:
-    """Evaluate the open-loop embedding field at an embedding state."""
+    """Open-loop embedding field ``(d(lo,hi,u,uh,w,wh), d(hi,lo,uh,u,wh,w))``.
+
+    With an interval extension an ordered state is evaluated on its faces
+    in one call; a reversed state goes through the decomposition ``d``.
+    """
     if state.n != sys.n:
         raise ValueError(f"state has dimension {state.n}, system expects {sys.n}")
     ulo, uhi = _require_pair(u_pair, sys.p, "input")
@@ -188,7 +200,15 @@ def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_p
         wlo = whi = np.zeros(sys.q)
     else:
         wlo, whi = _require_pair(w_pair, sys.q, "disturbance")
-    return open_loop_field(sys, state.lo, state.hi, ulo, uhi, wlo, whi)
+    lo, hi = state.lo, state.hi
+    if sys.extension is not None and np.all(lo <= hi):
+        m = 2 * sys.n
+        flo, fhi = sys.extension(*_face_rows(lo, hi, lo, hi),
+                                 np.tile(ulo, (m, 1)), np.tile(uhi, (m, 1)),
+                                 np.tile(wlo, (m, 1)), np.tile(whi, (m, 1)))
+        return _face_field(flo, fhi)
+    return np.concatenate([sys.d(lo, hi, ulo, uhi, wlo, whi),
+                           sys.d(hi, lo, uhi, ulo, whi, wlo)])
 
 
 class _FrozenControlEmbedding:
@@ -252,7 +272,6 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         else:
             self.w_lo, self.w_hi = _require_pair(w_box, sys.q, "disturbance")
         self.incl: InclusionFunction | None = None
-        self.box: IntervalVector | None = None
         self.interval_index: int | None = None
         self.eta_lo = self.eta_hi = None  # (n, p) lower-face output bounds
         self.nu_lo = self.nu_hi = None    # (n, p) upper-face output bounds
@@ -271,19 +290,11 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         to lie inside its domain.
         """
         self.incl = self._control_inclusion(box, reverify, net, inherited)
-        n = self.sys.n
-        lo, hi = box.lo, box.hi
-        idx = np.arange(n)
-        # lower faces: (lo, hi with coordinate i pinned down to lo_i)
-        A = np.tile(lo, (n, 1))
-        B = np.tile(hi, (n, 1))
-        B[idx, idx] = lo[idx]
-        self.eta_lo, self.eta_hi = self.incl.batch(A, B)
-        # upper faces: (hi, lo with coordinate i pinned up to hi_i)
-        A = np.tile(hi, (n, 1))
-        B = np.tile(lo, (n, 1))
-        B[idx, idx] = hi[idx]
-        self.nu_lo, self.nu_hi = self.incl.batch(A, B)
+        n = self.n
+        # lower faces pin coordinate i down to lo_i, upper faces up to hi_i
+        rows_lo, rows_hi = self.incl.batch(*_face_rows(box.lo, box.hi, box.lo, box.hi))
+        self.eta_lo, self.eta_hi = rows_lo[:n], rows_hi[:n]
+        self.nu_lo, self.nu_hi = rows_lo[n:], rows_hi[n:]
         if self.sys.extension is not None:
             self._u_spans = (
                 np.concatenate([self.eta_lo, np.minimum(self.nu_lo, self.nu_hi)]),
@@ -292,7 +303,6 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
             self._w_rows = (np.tile(self.w_lo, (2 * n, 1)),
                             np.tile(self.w_hi, (2 * n, 1)))
             self._x_scratch = (np.empty((2 * n, n)), np.empty((2 * n, n)))
-        self.box = box
         self.interval_index = interval_index
 
     def _require_caches(self, interval_index=None):
@@ -307,30 +317,25 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
         self._require_caches()
-        sys = self.sys
-        n = sys.n
-        idx = np.arange(n)
-        if sys.extension is not None:
+        if self.sys.extension is not None:
             # face spans change per step but the input/disturbance rows are
             # per-interval constants; extensions must not mutate arguments
-            Xlo, Xhi = self._x_scratch
-            Xlo[:] = lo
-            Xhi[:] = hi
-            Xhi[idx, idx] = lo[idx]
-            Xlo[n + idx, idx] = hi[idx]
-            flo, fhi = sys.extension(Xlo, Xhi, self._u_spans[0], self._u_spans[1],
-                                     self._w_rows[0], self._w_rows[1])
-            out = np.empty(2 * n)
-            out[:n] = flo[idx, idx]
-            out[n:] = fhi[n + idx, idx]
-            return out
-        out = np.empty(2 * n)
-        for i in range(n):
-            out[i] = sys.d(lo, hi, self.eta_lo[i], self.eta_hi[i],
-                           self.w_lo, self.w_hi)[i]
-            out[n + i] = sys.d(hi, lo, self.nu_hi[i], self.nu_lo[i],
-                               self.w_hi, self.w_lo)[i]
-        return out
+            rows = _face_rows(lo, hi, lo, hi, out=self._x_scratch)
+            return _face_field(*self.sys.extension(*rows, *self._u_spans, *self._w_rows))
+        return np.concatenate([self._face_d(lo, hi, upper=False),
+                               self._face_d(hi, lo, upper=True)])
+
+    def _face_d(self, a, b, upper: bool) -> np.ndarray:
+        """Component ``i`` of ``d(a, b, ...)`` under face ``i``'s frozen control.
+
+        Lower faces enter with ``eta`` in forward order, upper faces with
+        ``nu`` reversed: the two branches of the hybrid decomposition.
+        """
+        if upper:
+            u, uh, w, wh = self.nu_hi, self.nu_lo, self.w_hi, self.w_lo
+        else:
+            u, uh, w, wh = self.eta_lo, self.eta_hi, self.w_lo, self.w_hi
+        return np.array([self.sys.d(a, b, u[i], uh[i], w, wh)[i] for i in range(self.n)])
 
     def _next_state(self, lo, hi, dt):
         rate = self.field(lo, hi)
@@ -342,33 +347,21 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         Finite differencing perturbs one endpoint at a time, which can cross
         a degenerate axis; spans are therefore formed with componentwise
         min/max while the face pins keep the true endpoint values.  (On
-        crossed pairs :func:`open_loop_field` instead falls back to the
+        crossed pairs :func:`open_embedding_field` instead falls back to the
         decomposition ``d``, so the two are not interchangeable.)
         """
         sys = self.sys
-        n = sys.n
-        idx = np.arange(n)
         if sys.extension is not None:
-            span_lo = np.minimum(a, b)
-            span_hi = np.maximum(a, b)
-            Xlo = np.tile(span_lo, (2 * n, 1))
-            Xhi = np.tile(span_hi, (2 * n, 1))
-            Xlo[idx, idx] = a[idx]
-            Xhi[idx, idx] = a[idx]
-            Xlo[n + idx, idx] = b[idx]
-            Xhi[n + idx, idx] = b[idx]
-            Ulo = np.tile(np.minimum(ulo, uhi), (2 * n, 1))
-            Uhi = np.tile(np.maximum(ulo, uhi), (2 * n, 1))
-            Wlo = np.tile(np.minimum(wlo, whi), (2 * n, 1))
-            Whi = np.tile(np.maximum(wlo, whi), (2 * n, 1))
-            flo, fhi = sys.extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)
-            out = np.empty(2 * n)
-            out[:n] = flo[idx, idx]
-            out[n:] = fhi[n + idx, idx]
-            return out
-        lower = sys.d(a, b, ulo, uhi, wlo, whi)
-        upper = sys.d(b, a, uhi, ulo, whi, wlo)
-        return np.concatenate([lower, upper])
+            m = 2 * sys.n
+            rows = _face_rows(np.minimum(a, b), np.maximum(a, b), a, b)
+            flo, fhi = sys.extension(*rows,
+                                     np.tile(np.minimum(ulo, uhi), (m, 1)),
+                                     np.tile(np.maximum(ulo, uhi), (m, 1)),
+                                     np.tile(np.minimum(wlo, whi), (m, 1)),
+                                     np.tile(np.maximum(wlo, whi), (m, 1)))
+            return _face_field(flo, fhi)
+        return np.concatenate([sys.d(a, b, ulo, uhi, wlo, whi),
+                               sys.d(b, a, uhi, ulo, whi, wlo)])
 
 
 def closed_decomposition(emb: ClosedLoopEmbedding, state: EmbeddingState,
@@ -380,20 +373,9 @@ def closed_decomposition(emb: ClosedLoopEmbedding, state: EmbeddingState,
     arguments, mirroring the two branches of the hybrid decomposition.
     """
     emb._require_caches(interval_index)
-    sys = emb.sys
-    if state.n != sys.n:
-        raise ValueError(f"state has dimension {state.n}, system expects {sys.n}")
-    a, b = state.lo, state.hi
-    out = np.empty(sys.n)
-    if state.ordered:
-        for i in range(sys.n):
-            out[i] = sys.d(a, b, emb.eta_lo[i], emb.eta_hi[i],
-                           emb.w_lo, emb.w_hi)[i]
-    else:
-        for i in range(sys.n):
-            out[i] = sys.d(a, b, emb.nu_hi[i], emb.nu_lo[i],
-                           emb.w_hi, emb.w_lo)[i]
-    return out
+    if state.n != emb.n:
+        raise ValueError(f"state has dimension {state.n}, system expects {emb.n}")
+    return emb._face_d(state.lo, state.hi, upper=not state.ordered)
 
 
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):
@@ -420,7 +402,6 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         self._Bn = np.minimum(self.B, 0.0)
         self.w_lo = self.w_hi = np.zeros(0)
         self.incl: InclusionFunction | None = None
-        self.box: IntervalVector | None = None
         self.interval_index: int | None = None
         self._update = None
 
@@ -446,7 +427,6 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
             self._Bp @ lb.d_lo + self._Bn @ lb.d_hi,
             self._Bn @ lb.d_lo + self._Bp @ lb.d_hi,
         )
-        self.box = box
         self.interval_index = interval_index
 
     def step(self, lo, hi):

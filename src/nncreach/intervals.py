@@ -58,12 +58,6 @@ class IntervalVector:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def from_center(cls, center, halfwidth) -> "IntervalVector":
-        c = _as_vector(center, "center")
-        h = np.broadcast_to(np.asarray(halfwidth, dtype=float), c.shape)
-        return cls(c - h, c + h)
-
     @property
     def n(self) -> int:
         return self.lo.shape[0]

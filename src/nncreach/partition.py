@@ -99,7 +99,6 @@ class PartitionNode:
     nn_flag: bool
     depth: int = 0
     children: list = field(default_factory=list)
-    incl: InclusionFunction | None = None
 
 
 class TreeStats(NamedTuple):
@@ -340,46 +339,35 @@ def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams, model
     """
     nn_calls = 0
     subdivisions = 0
+    eff = inherited
     if node.nn_flag:
         assert node.depth <= params.nn_depth_max, "verification depth budget violated"
-        node.incl = model.verify(node.box)
+        eff = model.verify(node.box)
         nn_calls += 1
-    else:
-        node.incl = None
-    eff = node.incl if node.nn_flag else inherited
 
     if not node.children:
         steps = model.interval_steps(j)
         emb = model.make_embedding()
         emb.refresh_control(node.box, reverify=False, inherited=eff,
                             interval_index=j)
-        fired = False
-        if params.mode == "adaptive" and node.depth < params.depth_max:
-            k = _probe_steps(params.gamma, steps)
-            probe = model.advance(emb, node.box.lo, node.box.hi, k)
-            w0 = weighted_inf_norm(node.box.width, params.eps)
-            w_probe = weighted_inf_norm(probe[-1, 1] - probe[-1, 0], params.eps)
-            if _predicate_fires(w0, w_probe, steps / k):
-                fired = True
-                subdivisions += 1
-                node.children = [
-                    PartitionNode(b, nn_flag=node.depth < params.nn_depth_max,
-                                  depth=node.depth + 1)
-                    for b in uniform_divide(node.box)
-                ]
-                node.nn_flag = node.nn_flag and (node.depth + 1 > params.nn_depth_max)
-                if not node.nn_flag:
-                    node.incl = None
-            else:
-                if steps > k:
-                    rest = model.advance(emb, probe[-1, 0], probe[-1, 1], steps - k)
-                    traj = np.concatenate([probe, rest[1:]], axis=0)
-                else:
-                    traj = probe
-                node.box = IntervalVector(traj[-1, 0], traj[-1, 1])
-                return [traj], nn_calls, subdivisions
-        if not fired:
-            traj = model.advance(emb, node.box.lo, node.box.hi, steps)
+        probing = params.mode == "adaptive" and node.depth < params.depth_max
+        k = _probe_steps(params.gamma, steps) if probing else steps
+        traj = model.advance(emb, node.box.lo, node.box.hi, k)
+        if probing and _predicate_fires(
+                weighted_inf_norm(node.box.width, params.eps),
+                weighted_inf_norm(traj[-1, 1] - traj[-1, 0], params.eps), steps / k):
+            # discard the probe and restart the interval from the children
+            subdivisions += 1
+            node.children = [
+                PartitionNode(b, nn_flag=node.depth < params.nn_depth_max,
+                              depth=node.depth + 1)
+                for b in uniform_divide(node.box)
+            ]
+            node.nn_flag = node.nn_flag and (node.depth + 1 > params.nn_depth_max)
+        else:
+            if k < steps:
+                rest = model.advance(emb, traj[-1, 0], traj[-1, 1], steps - k)
+                traj = np.concatenate([traj, rest[1:]], axis=0)
             node.box = IntervalVector(traj[-1, 0], traj[-1, 1])
             return [traj], nn_calls, subdivisions
 

@@ -7,12 +7,7 @@ import numpy as np
 from .intervals import IntervalVector
 from .partition import ReachTube
 
-__all__ = ["hull_volume", "union_area_raster", "boxes_at"]
-
-
-def boxes_at(tube: ReachTube, t: float) -> np.ndarray:
-    """The ``(B, 2, n)`` box stack at a grid time."""
-    return tube.boxes[tube.time_index(t)]
+__all__ = ["hull_volume", "union_area_raster"]
 
 
 def hull_volume(tube: ReachTube, t: float, coords=None) -> float:

@@ -214,6 +214,33 @@ class TestCommandLine:
                          "--reps", "0"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plant", ["double-integrator", "vehicle"])
+    @pytest.mark.parametrize("args, where", [
+        (["--seed", "-1"], "config.seed"),
+        (["--set", "seed=-1"], "config.seed"),
+        (["--set", "algorithm.eps=-1"], "config.algorithm.eps"),
+        (["--set", "algorithm.eps=NaN"], "config.algorithm.eps"),
+        (["--set", "horizon=inf"], "config.horizon"),
+        (["--set", "dt=inf"], "config.dt"),
+        (["--set", "control.period=inf"], "config.control.period"),
+        (["--set", 'control.instants=[0, 1, "inf"]'], "config.control.instants[2]"),
+    ])
+    def test_bad_values_exit_as_config_errors(self, tmp_path, capsys, plant, args, where):
+        if plant == "vehicle":
+            path = CONFIGS / "vehicle_adaptive_d2n1.json"
+        else:
+            path = write_config(tmp_path, di_config_dict())
+        assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--reps", "1", *args]) == 1
+        assert f"config error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--seed", "1"], ["--set", "seed=1"]])
+    def test_non_object_root_with_override_exits_as_config_error(self, tmp_path,
+                                                                 capsys, args):
+        path = write_config(tmp_path, [1, 2])
+        assert cli.main(["reach", "--config", str(path), *args]) == 1
+        assert "config root must be a JSON object" in capsys.readouterr().err
+
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

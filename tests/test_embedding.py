@@ -20,7 +20,6 @@ from nncreach import (
     make_inclusion,
     open_embedding_field,
 )
-from nncreach.embedding import open_loop_field
 
 from conftest import zero_network
 
@@ -79,12 +78,43 @@ class TestOpenEmbeddingField:
             hi = lo + rng.uniform(0, 0.4, 4)
             ulo = rng.uniform(-1.0, 0.0, 2) * [3.0, 0.3]
             uhi = ulo + rng.uniform(0, 0.5, 2)
-            fast = open_loop_field(sys, lo, hi, ulo, uhi, np.zeros(0), np.zeros(0))
+            fast = open_embedding_field(sys, EmbeddingState(lo, hi), (ulo, uhi))
             slow = np.concatenate([
                 sys.d(lo, hi, ulo, uhi, np.zeros(0), np.zeros(0)),
                 sys.d(hi, lo, uhi, ulo, np.zeros(0), np.zeros(0)),
             ])
             assert np.allclose(fast, slow, atol=1e-12)
+
+
+def face_kernel_cases():
+    """(system, box, constant control band, disturbance pair) per field path."""
+    vehicle = VehicleSystem().open_loop()
+    veh_box = IntervalVector(np.array([7.0, 7.2, -2.4, 1.5]),
+                             np.array([7.4, 7.5, -2.1, 2.0]))
+    affine = affine_system(np.array([[-0.5, 2.0, 0.0], [-1.0, -1.0, 0.5], [0.3, 0.0, -2.0]]),
+                           np.array([[1.0, 0.0], [-0.5, 1.0], [0.0, -2.0]]),
+                           np.array([[0.3], [-1.0], [0.0]]))
+    aff_box = IntervalVector(np.array([-1.0, 0.5, 0.0]), np.array([0.5, 1.5, 0.25]))
+    return [
+        pytest.param(vehicle, veh_box, ([-1.0, -0.2], [0.5, 0.3]), None, id="extension"),
+        pytest.param(affine, aff_box, ([-0.3, 0.1], [0.2, 0.4]), ([-0.1], [0.2]),
+                     id="decomposition"),
+    ]
+
+
+@pytest.mark.parametrize("sys, box, band, w_pair", face_kernel_cases())
+def test_constant_band_closed_field_equals_open_field(sys, box, band, w_pair):
+    # with C = 0 every face sees the same control interval, so the closed-loop
+    # face kernel must reduce exactly to the open-loop field under that band
+    d_lo, d_hi = (np.array(v) for v in band)
+    zero = np.zeros((sys.p, sys.n))
+    incl = make_inclusion(LinearBounds(C_lo=zero, d_lo=d_lo, C_hi=zero, d_hi=d_hi,
+                                       domain=box))
+    emb = ClosedLoopEmbedding(sys, w_pair)
+    emb.refresh_control(box, reverify=False, inherited=incl, interval_index=0)
+    closed = emb.field(box.lo, box.hi)
+    open_ = open_embedding_field(sys, EmbeddingState(box.lo, box.hi), (d_lo, d_hi), w_pair)
+    assert np.array_equal(closed, open_)
 
 
 class TestTightDecomposition:
