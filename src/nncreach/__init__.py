@@ -44,7 +44,6 @@ from .partition import (
     PartitionNode,
     ReachTube,
     compute_reachable_set,
-    tree_stats,
 )
 from .contraction import (
     ContractionEstimate,

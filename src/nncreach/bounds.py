@@ -116,6 +116,15 @@ def _relu_relaxation(zlo, zhi):
     return su, tu, sl, tl
 
 
+def check_relaxable(net: MLPNetwork) -> None:
+    """Raise ``ValueError`` unless :func:`crown_bounds` relaxes every layer of ``net``."""
+    for layer in net.layers:
+        if layer.activation not in ("relu", "identity"):
+            raise ValueError(
+                f"linear relaxation does not support activation {layer.activation!r}"
+            )
+
+
 def crown_bounds(net: MLPNetwork, box: IntervalVector) -> LinearBounds:
     """Backward propagation of affine envelopes over ``box``.
 
@@ -126,11 +135,7 @@ def crown_bounds(net: MLPNetwork, box: IntervalVector) -> LinearBounds:
         raise ValueError(
             f"box has dimension {box.n}, network expects {net.input_dim}"
         )
-    for layer in net.layers:
-        if layer.activation not in ("relu", "identity"):
-            raise ValueError(
-                f"linear relaxation does not support activation {layer.activation!r}"
-            )
+    check_relaxable(net)
     pre = _preactivation_bounds(net, box)
 
     last = net.layers[-1]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import check_relaxable
 from .intervals import IntervalVector, ToleranceVector
 from .networks import MLPNetwork
 from .partition import AlgorithmParams, ReachTube, compute_reachable_set
@@ -280,6 +281,7 @@ class Experiment:
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     try:
         net = MLPNetwork.load(cfg.network)
+        check_relaxable(net)
     except FileNotFoundError:
         raise ConfigError(f"network file not found: {cfg.network}") from None
     except ValueError as exc:

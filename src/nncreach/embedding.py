@@ -203,9 +203,12 @@ def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_p
     lo, hi = state.lo, state.hi
     if sys.extension is not None and np.all(lo <= hi):
         m = 2 * sys.n
+        # input and disturbance spans, unordered pairs allowed as in ``sys.d``
         flo, fhi = sys.extension(*_face_rows(lo, hi, lo, hi),
-                                 np.tile(ulo, (m, 1)), np.tile(uhi, (m, 1)),
-                                 np.tile(wlo, (m, 1)), np.tile(whi, (m, 1)))
+                                 np.tile(np.minimum(ulo, uhi), (m, 1)),
+                                 np.tile(np.maximum(ulo, uhi), (m, 1)),
+                                 np.tile(np.minimum(wlo, whi), (m, 1)),
+                                 np.tile(np.maximum(wlo, whi), (m, 1)))
         return _face_field(flo, fhi)
     return np.concatenate([sys.d(lo, hi, ulo, uhi, wlo, whi),
                            sys.d(hi, lo, uhi, ulo, whi, wlo)])

@@ -7,10 +7,12 @@ interval width at the interval end from the observed growth ratio, and --
 if the projected width violates the per-axis tolerance -- discard the
 probe, split into ``2**n`` children at the interval start, and recurse.
 
-Network verification is decoupled from partitioning: only nodes whose
-``nn_flag`` is set recompute the linear relaxation; all other nodes
-evaluate through the nearest flagged ancestor's relaxation while still
-re-evaluating the face caches on their own (smaller) box.
+Network verification is decoupled from partitioning.  With
+``nn = min(nn_depth_max, depth_max)``, a node recomputes the linear
+relaxation on its own box iff it sits at depth ``nn``, or it is a leaf
+shallower than ``nn``; every other node evaluates through its nearest
+verifying ancestor's relaxation while still re-evaluating the face caches
+on its own (smaller) box.
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ __all__ = [
     "PartitionNode",
     "ReachTube",
     "StepStats",
-    "TreeStats",
     "ContinuousClosedLoopModel",
     "DiscreteLTIModel",
     "compute_reachable_set",
-    "tree_stats",
 ]
 
 _GRID_TOL = 1e-9
@@ -93,18 +93,11 @@ class AlgorithmParams:
 
 @dataclass
 class PartitionNode:
-    """Tree node: current box, verification flag, and children (0 or 2**n)."""
+    """Tree node: current box, depth, and children (0 or 2**n)."""
 
     box: IntervalVector
-    nn_flag: bool
     depth: int = 0
     children: list = field(default_factory=list)
-
-
-class TreeStats(NamedTuple):
-    leaf_count: int
-    max_depth: int
-    nn_flagged: int
 
 
 class StepStats(NamedTuple):
@@ -114,24 +107,6 @@ class StepStats(NamedTuple):
     max_depth: int
     nn_calls: int
     subdivisions: int
-
-
-def tree_stats(root: PartitionNode) -> TreeStats:
-    """Exact leaf count, maximum depth, and number of flagged nodes."""
-    leaves = 0
-    max_depth = 0
-    flagged = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        max_depth = max(max_depth, node.depth)
-        if node.nn_flag:
-            flagged += 1
-        if node.children:
-            stack.extend(node.children)
-        else:
-            leaves += 1
-    return TreeStats(leaves, max_depth, flagged)
 
 
 @dataclass
@@ -331,62 +306,60 @@ def _predicate_fires(w0: float, w_probe: float, inv_gamma_eff: float) -> bool:
     return inv_gamma_eff * math.log(w_probe / w0) + math.log(w0) > 0.0
 
 
-def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams, model):
+def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams, model,
+          trajs: list):
     """Advance one subtree across control interval ``j``.
 
-    Returns ``(leaf trajectories, nn calls, subdivisions)``; mutates the
-    tree in place (successor boxes, new children, flag bookkeeping).
+    Appends each leaf trajectory, in tree order, to ``trajs`` and returns
+    ``(nn calls, subdivisions, max leaf depth)``; mutates the tree in place
+    (successor boxes, new children).
     """
-    nn_calls = 0
-    subdivisions = 0
+    nn = min(params.nn_depth_max, params.depth_max)
     eff = inherited
-    if node.nn_flag:
-        assert node.depth <= params.nn_depth_max, "verification depth budget violated"
+    nn_calls = subdivisions = 0
+    if node.depth == nn or (not node.children and node.depth < nn):
         eff = model.verify(node.box)
-        nn_calls += 1
+        nn_calls = 1
 
     if not node.children:
         steps = model.interval_steps(j)
         emb = model.make_embedding()
         emb.refresh_control(node.box, reverify=False, inherited=eff,
                             interval_index=j)
-        probing = params.mode == "adaptive" and node.depth < params.depth_max
+        probing = node.depth < params.depth_max
         k = _probe_steps(params.gamma, steps) if probing else steps
         traj = model.advance(emb, node.box.lo, node.box.hi, k)
         if probing and _predicate_fires(
                 weighted_inf_norm(node.box.width, params.eps),
                 weighted_inf_norm(traj[-1, 1] - traj[-1, 0], params.eps), steps / k):
             # discard the probe and restart the interval from the children
-            subdivisions += 1
-            node.children = [
-                PartitionNode(b, nn_flag=node.depth < params.nn_depth_max,
-                              depth=node.depth + 1)
-                for b in uniform_divide(node.box)
-            ]
-            node.nn_flag = node.nn_flag and (node.depth + 1 > params.nn_depth_max)
+            subdivisions = 1
+            node.children = [PartitionNode(b, depth=node.depth + 1)
+                             for b in uniform_divide(node.box)]
         else:
             if k < steps:
                 rest = model.advance(emb, traj[-1, 0], traj[-1, 1], steps - k)
                 traj = np.concatenate([traj, rest[1:]], axis=0)
             node.box = IntervalVector(traj[-1, 0], traj[-1, 1])
-            return [traj], nn_calls, subdivisions
+            trajs.append(traj)
+            return nn_calls, subdivisions, node.depth
 
-    trajs = []
+    max_depth = node.depth
     for child in node.children:
-        child_trajs, calls, subs = _step(child, eff, j, params, model)
-        trajs.extend(child_trajs)
+        calls, subs, depth = _step(child, eff, j, params, model, trajs)
         nn_calls += calls
         subdivisions += subs
+        max_depth = max(max_depth, depth)
     node.box = interval_hull([child.box for child in node.children])
-    return trajs, nn_calls, subdivisions
+    return nn_calls, subdivisions, max_depth
 
 
-def _build_uniform_tree(box: IntervalVector, depth_max: int, nn_depth: int,
+def _build_uniform_tree(box: IntervalVector, depth_max: int,
                         depth: int = 0) -> PartitionNode:
-    node = PartitionNode(box, nn_flag=(depth == nn_depth), depth=depth)
+    node = PartitionNode(box, depth=depth)
     if depth < depth_max:
         node.children = [
-            _build_uniform_tree(b, depth_max, nn_depth, depth + 1)
+            _build_uniform_tree(b, depth_max, depth + 1)
             for b in uniform_divide(box)
         ]
     return node
@@ -406,21 +379,17 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
     if params.eps.n != model.n:
         raise ValueError("eps must have one entry per state dimension")
     if params.mode == "uniform":
-        # adaptive trees never grow past depth_max, so flags deeper than
-        # that are capped the same way here
-        root = _build_uniform_tree(root_box, params.depth_max,
-                                   min(params.nn_depth_max, params.depth_max))
+        root = _build_uniform_tree(root_box, params.depth_max)
     else:
-        root = PartitionNode(root_box, nn_flag=True, depth=0)
+        root = PartitionNode(root_box)
 
     boxes = [root_box.as_array()[None, :, :]]
     stats = []
     for j in range(1, model.num_intervals + 1):
-        trajs, nn_calls, subdivisions = _step(root, None, j, params, model)
-        for k in range(1, model.interval_steps(j) + 1):
-            boxes.append(np.stack([t[k] for t in trajs]))
-        leaves, max_depth, _ = tree_stats(root)
+        trajs = []
+        nn_calls, subdivisions, max_depth = _step(root, None, j, params, model, trajs)
+        boxes.extend(np.stack(trajs, axis=1)[1:])
         assert max_depth <= params.depth_max, "depth budget violated"
-        stats.append(StepStats(j, model.instants[j], leaves, max_depth,
+        stats.append(StepStats(j, model.instants[j], len(trajs), max_depth,
                                nn_calls, subdivisions))
     return ReachTube(times=model.times, boxes=boxes, interval_stats=stats)

@@ -5,6 +5,7 @@ import pytest
 
 from nncreach import (
     ContinuousClosedLoopModel,
+    MLPNetwork,
     OpenLoopSystem,
     cli,
     containment_check,
@@ -240,6 +241,16 @@ class TestCommandLine:
         path = write_config(tmp_path, [1, 2])
         assert cli.main(["reach", "--config", str(path), *args]) == 1
         assert "config root must be a JSON object" in capsys.readouterr().err
+
+    def test_unrelaxable_controller_exits_as_config_error(self, tmp_path, capsys):
+        net = MLPNetwork.load(NETWORKS / "double_integrator_standin.json")
+        tanh = MLPNetwork([(l.weights, l.bias, "tanh" if l.activation == "relu"
+                            else l.activation) for l in net.layers])
+        tanh.save(tmp_path / "tanh.json")
+        assert cli.main(["reach", "--config", str(CONFIGS / "di_adaptive_d3n1.json"),
+                         "--out", str(tmp_path / "o"),
+                         "--set", f"network={json.dumps(str(tmp_path / 'tanh.json'))}"]) == 1
+        assert "does not support activation 'tanh'" in capsys.readouterr().err
 
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -85,6 +85,18 @@ class TestOpenEmbeddingField:
             ])
             assert np.allclose(fast, slow, atol=1e-12)
 
+    def test_unordered_input_pair_matches_decomposition(self):
+        # the extension path spans the input pair like ``sys.d`` does
+        sys = VehicleSystem().open_loop()
+        lo = np.array([7.0, 7.0, -2.4, 1.5])
+        hi = lo + 0.3
+        u, uh = np.array([0.5, 0.3]), np.array([-1.0, -0.2])
+        w = np.zeros(0)
+        out = open_embedding_field(sys, EmbeddingState(lo, hi), (u, uh))
+        want = np.concatenate([sys.d(lo, hi, u, uh, w, w), sys.d(hi, lo, uh, u, w, w)])
+        assert np.array_equal(out, want)
+        assert np.array_equal(out[[3, 7]], [-1.0, 0.5])
+
 
 def face_kernel_cases():
     """(system, box, constant control band, disturbance pair) per field path."""

@@ -12,9 +12,8 @@ from nncreach import (
     ToleranceVector,
     affine_system,
     compute_reachable_set,
-    tree_stats,
 )
-from nncreach.partition import PartitionNode, _predicate_fires, _probe_steps
+from nncreach.partition import _predicate_fires, _probe_steps
 
 from conftest import zero_network
 
@@ -154,28 +153,51 @@ class TestBudgets:
         tube = compute_reachable_set(box, params([0.01, 0.01], dp=4, dn=2), model)
         assert max(s.max_depth for s in tube.interval_stats) <= 4
 
-    def test_nn_depth_budget_and_call_counting(self, di_net):
+    @pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+    @pytest.mark.parametrize("dp, dn", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1),
+                                        (2, 2), (3, 1), (3, 2), (2, 4)])
+    @pytest.mark.filterwarnings("ignore:nn_depth_max")  # (2, 4) is capped
+    def test_nn_depth_budget_and_call_counting(self, di_net, dp, dn, mode):
         model = di_model(di_net, horizon=3)
         box = IntervalVector(np.array([2.5, -0.25]), np.array([3.0, 0.25]))
-        tube = compute_reachable_set(box, params([0.0, 0.0], dp=2, dn=1), model)
-        # full tree from the first instant: 4 flagged depth-1 nodes per
-        # interval, plus the root's single call before it split
-        assert tube.interval_stats[0].nn_calls == 5
-        for s in tube.interval_stats[1:]:
-            assert s.nn_calls == 4
+        stats = compute_reachable_set(
+            box, params([0.0, 0.0], dp=dp, dn=dn, mode=mode), model).interval_stats
+        nn = min(dn, dp)
+        if mode == "adaptive":
+            # the first interval verifies every depth down to D_N before and
+            # after each split, later intervals only the depth-D_N nodes
+            first_calls = sum(4 ** d for d in range(nn + 1))
+            first_splits = sum(4 ** d for d in range(dp))
+        else:
+            first_calls, first_splits = 4 ** nn, 0
+        assert [s.nn_calls for s in stats] == [first_calls] + [4 ** nn] * 2
+        assert [s.subdivisions for s in stats] == [first_splits, 0, 0]
+        assert all(s.leaf_count == 4 ** dp for s in stats)
+        assert all(s.max_depth == dp for s in stats)
 
     def test_verification_depth_assertion_guards_engine(self, di_net):
-        # the engine itself asserts every CROWN call happens at depth <= D_N
+        # no CROWN call happens below D_N: in the first interval every
+        # verified box is a fresh split of the initial box, so its width
+        # gives its depth
         model = di_model(di_net, horizon=2)
         box = IntervalVector(np.array([2.5, -0.25]), np.array([3.0, 0.25]))
-        compute_reachable_set(box, params([0.0, 0.0], dp=3, dn=3), model)
+        verified = []
+        verify = model.verify
+
+        def recording_verify(b):
+            verified.append(b)
+            return verify(b)
+
+        model.verify = recording_verify
+        stats = compute_reachable_set(box, params([0.0, 0.0], dp=3, dn=1),
+                                      model).interval_stats
+        first = verified[:stats[0].nn_calls]
+        depths = [int(round(math.log2(box.width[0] / b.width[0]))) for b in first]
+        assert sorted(depths) == [0, 1, 1, 1, 1]
+        assert stats[0].max_depth == 3
 
 
 class TestTreeStats:
-    def test_fresh_root(self):
-        root = PartitionNode(IntervalVector(np.zeros(1), np.ones(1)), nn_flag=True)
-        assert tree_stats(root) == (1, 0, 1)
-
     def test_after_one_subdivision_flags(self, di_net):
         box = IntervalVector(np.array([2.5, -0.25]), np.array([3.0, 0.25]))
         # D_N = 0: children inherit, root keeps providing

@@ -4,8 +4,9 @@ The tracer wraps methods through the owning class's ``__dict__`` and skips
 a name that has gone missing, so a refactor that moves ``verify``,
 ``advance`` or ``refresh_control`` out of a class body only shows up as a
 reconciliation failure of a traced benchmark run.  This runs the reach
-and report stages of two shipped configs under the tracer and requires
-the traced counts to match the program's own counters.
+and report stages of shipped configs, adaptive and uniform (the prebuilt
+tree), under the tracer and requires the traced counts to match the
+program's own counters.
 """
 
 import importlib.util
@@ -28,6 +29,8 @@ def load_tracing():
 @pytest.mark.parametrize("name, overrides", [
     ("di_adaptive_d3n1", []),
     ("vehicle_adaptive_d2n1", ["horizon=0.5"]),
+    ("di_uniform_d2n2", []),
+    ("vehicle_uniform_d2n1", ["horizon=0.5"]),
 ])
 def test_traced_counts_reconcile(name, overrides, tmp_path):
     tracing = load_tracing()
