@@ -15,6 +15,7 @@ validity region).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -33,7 +34,7 @@ from .contraction import (
 from .embedding import EmbeddingOrderError
 from .intervals import IntervalVector
 from .montecarlo import containment_check, sample_trajectories
-from .partition import compute_reachable_set
+from .partition import compute_reachable_set, csv_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -134,10 +135,9 @@ def cmd_mc(args) -> int:
     n = traj.shape[2]
     header = "time,trajectory," + ",".join(f"x{i}" for i in range(n))
     rows = [header]
-    for tid in range(traj.shape[0]):
-        for k, t in enumerate(times):
-            vals = ",".join(f"{traj[tid, k, i]:.17g}" for i in range(n))
-            rows.append(f"{t:.17g},{tid},{vals}")
+    t_list = times.tolist()
+    for tid, states in enumerate(traj.tolist()):
+        rows += csv_rows(t_list, itertools.repeat(tid), states)
     (out_dir / "trajectories.csv").write_text("\n".join(rows) + "\n")
     _write_json(out_dir / "mc_report.json", {
         "schema": 1,

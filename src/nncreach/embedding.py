@@ -218,8 +218,8 @@ class _FrozenControlEmbedding:
     """What both embeddings share: a controller relaxation frozen over one
     control interval and the fixed-step integration loop.
 
-    Subclasses provide ``n``, ``incl`` and ``_next_state(lo, hi, dt)``,
-    the state one step later.
+    Subclasses provide ``n``, ``incl`` and ``_step_into(cur, out, dt)``,
+    which writes the ``(2, n)`` state one step after ``cur`` into ``out``.
     """
 
     def _control_inclusion(self, box: IntervalVector, reverify: bool, net,
@@ -238,21 +238,20 @@ class _FrozenControlEmbedding:
     def integrate(self, lo, hi, dt: float, steps: int, order_tol: float = 1e-9) -> np.ndarray:
         """Integrate the embedding ``steps`` steps; returns ``(steps+1, 2, n)``.
 
-        Raises :class:`EmbeddingOrderError` if the state loses its ordering.
+        Raises :class:`EmbeddingOrderError` at the first step whose state
+        loses its ordering or is not a number.
         """
         traj = np.empty((steps + 1, 2, self.n))
-        cur_lo = np.array(lo, dtype=float)
-        cur_hi = np.array(hi, dtype=float)
-        traj[0, 0] = cur_lo
-        traj[0, 1] = cur_hi
+        traj[0, 0] = lo
+        traj[0, 1] = hi
         for k in range(steps):
-            cur_lo, cur_hi = self._next_state(cur_lo, cur_hi, dt)
-            if np.any(cur_hi - cur_lo < -order_tol):
+            nxt = traj[k + 1]
+            self._step_into(traj[k], nxt, dt)
+            # written so that a NaN width fails the check too
+            if not (nxt[1] - nxt[0] >= -order_tol).all():
                 raise EmbeddingOrderError(
                     f"embedding state lost ordering at step {k + 1}"
                 )
-            traj[k + 1, 0] = cur_lo
-            traj[k + 1, 1] = cur_hi
         return traj
 
 
@@ -340,9 +339,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
             u, uh, w, wh = self.eta_lo, self.eta_hi, self.w_lo, self.w_hi
         return np.array([self.sys.d(a, b, u[i], uh[i], w, wh)[i] for i in range(self.n)])
 
-    def _next_state(self, lo, hi, dt):
-        rate = self.field(lo, hi)
-        return lo + dt * rate[:self.n], hi + dt * rate[self.n:]
+    def _step_into(self, cur, out, dt):
+        np.add(cur, dt * self.field(cur[0], cur[1]).reshape(2, self.n), out=out)
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
         """Open-loop embedding field, tolerant of slightly crossed pairs.
@@ -444,8 +442,8 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         new_hi = Mhn @ lo + Mhp @ hi + bhi
         return new_lo, new_hi
 
-    def _next_state(self, lo, hi, dt):
-        return self.step(lo, hi)
+    def _step_into(self, cur, out, dt):
+        out[0], out[1] = self.step(cur[0], cur[1])
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
         """Open-loop one-step map on a pair; the disturbance arguments are unused."""

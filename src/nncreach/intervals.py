@@ -253,13 +253,14 @@ def interval_cos(lo, hi):
     hi = np.asarray(hi, dtype=float)
     clo = np.cos(lo)
     chi = np.cos(hi)
-    out_lo = np.minimum(clo, chi)
-    out_hi = np.maximum(clo, chi)
+    # fresh arrays (0-d on scalar input), so the extrema are written in place
+    out_lo = np.asarray(np.minimum(clo, chi))
+    out_hi = np.asarray(np.maximum(clo, chi))
     # cos attains +1 at even multiples of pi, -1 at odd multiples
     has_max = np.floor(hi / _TWO_PI) >= np.ceil(lo / _TWO_PI)
     has_min = np.floor((hi - math.pi) / _TWO_PI) >= np.ceil((lo - math.pi) / _TWO_PI)
-    out_hi = np.where(has_max, 1.0, out_hi)
-    out_lo = np.where(has_min, -1.0, out_lo)
+    np.copyto(out_hi, 1.0, where=has_max)
+    np.copyto(out_lo, -1.0, where=has_min)
     return out_lo, out_hi
 
 

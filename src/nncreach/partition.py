@@ -17,6 +17,7 @@ on its own (smaller) box.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -109,6 +110,17 @@ class StepStats(NamedTuple):
     subdivisions: int
 
 
+def csv_rows(times, ids, values) -> list[str]:
+    """CSV lines ``time,id,v0,v1,...`` with every float written as ``%.17g``.
+
+    ``values`` is a list with one equal-length sequence of floats per line.
+    """
+    if not values:
+        return []
+    fmt = "%.17g,%d," + ",".join(["%.17g"] * len(values[0]))
+    return [fmt % (t, i, *v) for t, i, v in zip(times, ids, values)]
+
+
 @dataclass
 class ReachTube:
     """Time-indexed union of boxes, one entry per integration step."""
@@ -143,12 +155,11 @@ class ReachTube:
         n = self.n
         cols = ",".join(f"lo{i},hi{i}" for i in range(n))
         lines = [f"time,partition,{cols}"]
-        for k, t in enumerate(self.times):
-            for pid, arr in enumerate(self.boxes[k]):
-                vals = ",".join(
-                    f"{arr[0, i]:.17g},{arr[1, i]:.17g}" for i in range(n)
-                )
-                lines.append(f"{t:.17g},{pid},{vals}")
+        for t, arr in zip(self.times.tolist(), self.boxes):
+            count = arr.shape[0]
+            # per partition: lo0, hi0, lo1, hi1, ...
+            vals = arr.transpose(0, 2, 1).reshape(count, 2 * n).tolist()
+            lines += csv_rows(itertools.repeat(t), range(count), vals)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

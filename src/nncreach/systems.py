@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .embedding import OpenLoopSystem
-from .intervals import interval_cos, interval_mul, interval_sin
+from .intervals import interval_cos, interval_mul
 from .partition import DiscreteLTIModel
 
 __all__ = [
@@ -50,17 +50,21 @@ class VehicleSystem:
 
     def __init__(self, l_f: float = 1.0, l_r: float = 1.0,
                  u1_max: float = 20.0, u2_max: float = math.pi / 4):
-        if l_f <= 0 or l_r <= 0:
-            raise ValueError("axle distances must be positive")
+        # the chained comparisons are False on NaN, so NaN is rejected too
+        if not (0 < l_f < math.inf and 0 < l_r < math.inf):
+            raise ValueError("axle distances must be positive and finite")
         if not 0 < u2_max < _HALF_PI:
             raise ValueError("wheel-angle limit must lie in (0, pi/2)")
-        if u1_max <= 0:
-            raise ValueError("force limit must be positive")
+        if not 0 < u1_max < math.inf:
+            raise ValueError("force limit must be positive and finite")
         self.l_f = float(l_f)
         self.l_r = float(l_r)
         self.u1_max = float(u1_max)
         self.u2_max = float(u2_max)
         self._k = self.l_f / (self.l_f + self.l_r)
+        # saturation limits of the (u1, u2) rows of the extension's input block
+        self._u_lim = np.array([[self.u1_max], [self.u2_max]])
+        self._u_neg_lim = -self._u_lim
 
     def beta(self, u2):
         u2 = np.clip(np.asarray(u2, dtype=float), -self.u2_max, self.u2_max)
@@ -81,27 +85,44 @@ class VehicleSystem:
         ], axis=-1)
 
     def extension(self, Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
-        """Exact componentwise enclosure over row-stacked boxes."""
-        u1lo = np.clip(Ulo[:, 0], -self.u1_max, self.u1_max)
-        u1hi = np.clip(Uhi[:, 0], -self.u1_max, self.u1_max)
-        u2lo = np.clip(Ulo[:, 1], -self.u2_max, self.u2_max)
-        u2hi = np.clip(Uhi[:, 1], -self.u2_max, self.u2_max)
-        blo = np.arctan(self._k * np.tan(u2lo))
-        bhi = np.arctan(self._k * np.tan(u2hi))
-        tlo = Xlo[:, 2] + blo
-        thi = Xhi[:, 2] + bhi
-        clo, chi = interval_cos(tlo, thi)
-        slo, shi = interval_sin(tlo, thi)
-        vlo, vhi = Xlo[:, 3], Xhi[:, 3]
+        """Exact componentwise enclosure over row-stacked boxes.
+
+        The work is laid out as a few stacked arrays, so that the cost of a
+        call is a fixed number of numpy operations whatever the row count:
+        both input ends are saturated as one ``(2, 2m)`` block, the cos and
+        sin ranges of the heading come from one :func:`interval_cos` over
+        ``[t, t - pi/2]``, and the three products share one
+        :func:`interval_mul`.
+        """
+        m = Xlo.shape[0]
+        # rows (u1, u2), columns (lower ends | upper ends)
+        U = np.concatenate((Ulo.T, Uhi.T), axis=1)
+        U = np.minimum(np.maximum(U, self._u_neg_lim), self._u_lim)
+        b = np.arctan(self._k * np.tan(U[1]))
+        # heading plus slip: row 0 lower ends, row 1 upper ends; the right
+        # half is shifted by -pi/2 so that cos there is the sin range
+        t = np.empty((2, 2 * m))
+        np.add(Xlo[:, 2], b[:m], out=t[0, :m])
+        np.add(Xhi[:, 2], b[m:], out=t[1, :m])
+        np.subtract(t[:, :m], _HALF_PI, out=t[:, m:])
+        trig_lo, trig_hi = interval_cos(t[0], t[1])
+        # factors of (f_0, f_1, f_2) = (v cos, v sin, v / l_r sin(beta));
+        # beta stays in (-pi/2, pi/2) where sin is increasing
+        a = np.empty((2, 3, m))
+        a[0, :2] = Xlo[:, 3]
+        a[1, :2] = Xhi[:, 3]
+        np.divide(a[:, 0], self.l_r, out=a[:, 2])
+        c = np.empty((2, 3, m))
+        c[0, :2] = trig_lo.reshape(2, m)
+        c[1, :2] = trig_hi.reshape(2, m)
+        np.sin(b.reshape(2, m), out=c[:, 2])
+        prod_lo, prod_hi = interval_mul(a[0], a[1], c[0], c[1])
         flo = np.empty_like(Xlo)
         fhi = np.empty_like(Xhi)
-        flo[:, 0], fhi[:, 0] = interval_mul(vlo, vhi, clo, chi)
-        flo[:, 1], fhi[:, 1] = interval_mul(vlo, vhi, slo, shi)
-        # beta stays in (-pi/2, pi/2) where sin is increasing
-        flo[:, 2], fhi[:, 2] = interval_mul(vlo / self.l_r, vhi / self.l_r,
-                                            np.sin(blo), np.sin(bhi))
-        flo[:, 3] = u1lo
-        fhi[:, 3] = u1hi
+        flo[:, :3] = prod_lo.T
+        fhi[:, :3] = prod_hi.T
+        flo[:, 3] = U[0, :m]
+        fhi[:, 3] = U[0, m:]
         return flo, fhi
 
     def open_loop(self) -> OpenLoopSystem:

@@ -235,6 +235,15 @@ class TestCommandLine:
                          "--reps", "1", *args]) == 1
         assert f"config error: {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["l_f=NaN", "l_f=Infinity", "l_r=Infinity",
+                                         "u1_max=NaN"])
+    def test_non_finite_vehicle_parameter_exits_as_config_error(self, tmp_path, capsys,
+                                                                setting):
+        assert cli.main(["reach", "--config", str(CONFIGS / "vehicle_adaptive_d2n1.json"),
+                         "--out", str(tmp_path / "o"),
+                         "--set", f"system.params.{setting}"]) == 1
+        assert "config error: config.system: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [["--seed", "1"], ["--set", "seed=1"]])
     def test_non_object_root_with_override_exits_as_config_error(self, tmp_path,
                                                                  capsys, args):

@@ -13,6 +13,7 @@ from nncreach import (
     IntervalVector,
     LinearBounds,
     MLPNetwork,
+    OpenLoopSystem,
     VehicleSystem,
     affine_system,
     build_tight_decomposition,
@@ -321,6 +322,22 @@ class TestClosedLoopEmbedding:
         assert np.all(traj[:, 1, :] - traj[:, 0, :] >= -1e-9)
         # lower half stays below upper half after the first step too
         assert np.all(traj[1, 0] <= traj[1, 1])
+
+    def test_nan_state_raises_at_its_step(self):
+        # f(x) = sqrt(x - 1) is NaN on [0.5, 0.6]: the first step must fail
+        def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(Xlo - 1.0), np.sqrt(Xhi - 1.0)
+
+        sys = OpenLoopSystem(1, 1, 0, lambda x, u, w=None: np.sqrt(x - 1.0),
+                             extension=ext)
+        box = IntervalVector(np.array([0.5]), np.array([0.6]))
+        emb = ClosedLoopEmbedding(sys)
+        emb.refresh_control(box, reverify=False,
+                            inherited=exact_linear_inclusion(np.array([[0.0]]), box),
+                            interval_index=0)
+        with pytest.raises(EmbeddingOrderError, match="step 1$"):
+            emb.integrate(box.lo, box.hi, 0.1, 5)
 
     def test_refresh_control_inheritance_rules(self, di_net, di_box):
         from nncreach import crown_bounds

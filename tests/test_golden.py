@@ -22,6 +22,7 @@ GOLDEN_TUBE_SHA256 = {
     "di_uniform_d2n2": "e7c6fc8c358c6c499e6a0f8bfe306481a21343ab6ca72f53feb8c9c437c4b4ce",
     "di_adaptive_d6n2": "fc04bad49948ee2137e7f02c0801e64f5f9e7b12e0e347dc09f52ed266348a73",
     "vehicle_adaptive_d2n1": "c28af36cf7fa9ae851cb34b43722743c511c0cade39d1e603e811f2a452d1d84",
+    "vehicle_uniform_d2n2": "ce021b836c9928636cf2073e7660587a7597e0934e91ef31a4a1d6712d933fdd",
 }
 
 # sha256 of json.dumps(summary without "wall_time_s", sort_keys=True)
@@ -30,6 +31,7 @@ GOLDEN_SUMMARY_SHA256 = {
     "di_uniform_d2n2": "31858644873cc6e100adf2dc76a6168bbef6eb203dfb19e2f6e4ae1b5d0ac5c7",
     "di_adaptive_d6n2": "bdca36c38bf9e0d0074e1b021c54576f6a443d178566331e7eb451613887623e",
     "vehicle_adaptive_d2n1": "d1bc1c216b1965dd4d8dd4394092db8e94d4722d918112e41fced81d0be9834a",
+    "vehicle_uniform_d2n2": "9fba7c2f7aa5f67b7a6a1b046e1f083a1322ac1a9e0cc979f645d4420344750b",
 }
 
 

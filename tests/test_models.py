@@ -20,9 +20,45 @@ from nncreach import (
     sample_trajectories,
     union_area_raster,
 )
+from nncreach.intervals import interval_mul
 from nncreach.partition import StepStats
 
 from conftest import zero_network
+
+
+def _columnwise_cos_range(lo, hi):
+    """Exact cos range of each ``[lo, hi]``, written as the plain formula."""
+    clo, chi = np.cos(lo), np.cos(hi)
+    two_pi = 2 * math.pi
+    has_max = np.floor(hi / two_pi) >= np.ceil(lo / two_pi)
+    has_min = np.floor((hi - math.pi) / two_pi) >= np.ceil((lo - math.pi) / two_pi)
+    return (np.where(has_min, -1.0, np.minimum(clo, chi)),
+            np.where(has_max, 1.0, np.maximum(clo, chi)))
+
+
+def _columnwise_extension(veh, Xlo, Xhi, Ulo, Uhi):
+    """The vehicle enclosure one output column at a time (reference)."""
+    u1lo = np.clip(Ulo[:, 0], -veh.u1_max, veh.u1_max)
+    u1hi = np.clip(Uhi[:, 0], -veh.u1_max, veh.u1_max)
+    u2lo = np.clip(Ulo[:, 1], -veh.u2_max, veh.u2_max)
+    u2hi = np.clip(Uhi[:, 1], -veh.u2_max, veh.u2_max)
+    k = veh.l_f / (veh.l_f + veh.l_r)
+    blo = np.arctan(k * np.tan(u2lo))
+    bhi = np.arctan(k * np.tan(u2hi))
+    tlo = Xlo[:, 2] + blo
+    thi = Xhi[:, 2] + bhi
+    clo, chi = _columnwise_cos_range(tlo, thi)
+    slo, shi = _columnwise_cos_range(tlo - 0.5 * math.pi, thi - 0.5 * math.pi)
+    vlo, vhi = Xlo[:, 3], Xhi[:, 3]
+    flo = np.empty_like(Xlo)
+    fhi = np.empty_like(Xhi)
+    flo[:, 0], fhi[:, 0] = interval_mul(vlo, vhi, clo, chi)
+    flo[:, 1], fhi[:, 1] = interval_mul(vlo, vhi, slo, shi)
+    flo[:, 2], fhi[:, 2] = interval_mul(vlo / veh.l_r, vhi / veh.l_r,
+                                        np.sin(blo), np.sin(bhi))
+    flo[:, 3] = u1lo
+    fhi[:, 3] = u1hi
+    return flo, fhi
 
 
 class TestVehicleSystem:
@@ -73,6 +109,43 @@ class TestVehicleSystem:
             VehicleSystem(l_f=0.0)
         with pytest.raises(ValueError):
             VehicleSystem(u2_max=2.0)
+        for name in ("l_f", "l_r", "u1_max"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    VehicleSystem(**{name: bad})
+
+    @pytest.mark.parametrize("m", [1, 8, 64])
+    @pytest.mark.parametrize("params", [{}, {"l_f": 1.5, "l_r": 0.7, "u1_max": 3.0,
+                                             "u2_max": 0.5}])
+    def test_extension_bitwise_equals_columnwise_formula(self, m, params):
+        veh = VehicleSystem(**params)
+        rng = np.random.default_rng(m)
+        # heading boxes start at or near multiples of pi/2; widths from
+        # degenerate to wider than 2 pi
+        phi_lo = (rng.integers(-8, 9, m) * (math.pi / 2)
+                  + rng.choice([0.0, 0.0, -1e-3, 1e-3, 0.3], m))
+        phi_w = rng.choice([0.0, 1e-9, 0.05, 1.6, 3.2, 7.0], m)
+        v_lo = np.where(rng.random(m) < 0.5, rng.choice([-1.0, -0.0, 0.0], m),
+                        rng.uniform(-3, 3, m))
+        v_w = rng.choice([0.0, 0.0, rng.uniform(0, 3)], m)
+        xlo = np.column_stack([rng.uniform(-9, 9, m), rng.uniform(-9, 9, m),
+                               phi_lo, v_lo])
+        xhi = xlo + np.column_stack([rng.uniform(0, 1, m), np.zeros(m), phi_w, v_w])
+        # inputs well beyond both limits, degenerate and signed-zero ends
+        ulo = np.column_stack([rng.choice([-60.0, -25.0, -1.0, -0.0, 0.0, 2.0], m),
+                               rng.choice([-2.0, -0.9, -0.3, -0.0, 0.0, 0.4], m)])
+        uhi = ulo + np.column_stack([rng.choice([0.0, 0.5, 80.0], m),
+                                     rng.choice([0.0, 0.2, 3.0], m)])
+        w = np.zeros((m, 0))
+        args = (xlo, xhi, ulo, uhi, w, w)
+        before = [a.copy() for a in args]
+        got = veh.extension(*args)
+        want = _columnwise_extension(veh, xlo, xhi, ulo, uhi)
+        for g, r in zip(got, want):
+            assert g.shape == (m, 4) and g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
+        for a, b in zip(args, before):  # arguments are left untouched
+            assert a.tobytes() == b.tobytes()
 
     def test_custom_axle_ratio_changes_slip(self):
         assert VehicleSystem(l_f=2.0, l_r=1.0).beta(0.3) > VehicleSystem().beta(0.3)
