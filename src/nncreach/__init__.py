@@ -4,8 +4,8 @@ The library over-approximates reachable sets of nonlinear systems in
 closed loop with feed-forward network controllers.  Open-loop dynamics are
 embedded into a monotone system of doubled dimension via decomposition
 functions; network outputs are bounded by interval or linear-relaxation
-propagation; and a contraction-guided partition tree decides when and
-where to split boxes, decoupling network verification depth from
+propagation; and a contraction-guided partition of the initial set decides
+when and where to split boxes, decoupling network verification depth from
 partition depth.
 """
 
@@ -41,7 +41,6 @@ from .partition import (
     AlgorithmParams,
     ContinuousClosedLoopModel,
     DiscreteLTIModel,
-    PartitionNode,
     ReachTube,
     compute_reachable_set,
 )

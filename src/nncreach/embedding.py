@@ -18,8 +18,9 @@ frozen while the embedding is integrated across the control interval.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows`` and read back by
-``_face_field``; ``ClosedLoopEmbedding._face_d`` is the per-face loop for
-systems with only a decomposition ``d``.  Only the reference
+``_face_field``; ``_extension_face_field`` is the open-loop field from one
+extension call on those rows, and ``ClosedLoopEmbedding._face_d`` is the
+per-face loop for systems with only a decomposition ``d``.  Only the reference
 :func:`build_tight_decomposition` lays out faces on its own.
 """
 
@@ -97,7 +98,8 @@ def build_tight_decomposition(extension):
         Wlo = np.tile(np.minimum(w, wh), (n, 1))
         Whi = np.tile(np.maximum(w, wh), (n, 1))
         flo, fhi = extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)
-        if np.any(fhi - flo < -_EXTENSION_TOL):
+        # written so that a NaN enclosure fails the check too
+        if not (fhi - flo >= -_EXTENSION_TOL).all():
             raise ValueError("interval extension returned crossed enclosures")
         return flo[idx, idx] if lower else fhi[idx, idx]
 
@@ -187,6 +189,22 @@ def _face_field(flo, fhi) -> np.ndarray:
     return np.concatenate([flo[:n].diagonal(), fhi[n:].diagonal()])
 
 
+def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
+                          ulo, uhi, wlo, whi) -> np.ndarray:
+    """Open-loop embedding field from one extension call on the faces.
+
+    The faces are :func:`_face_rows` of the state span pinned at ``a`` and
+    ``b``; input and disturbance pairs may be unordered, as in ``sys.d``.
+    """
+    m = 2 * sys.n
+    flo, fhi = sys.extension(*_face_rows(span_lo, span_hi, a, b),
+                             np.tile(np.minimum(ulo, uhi), (m, 1)),
+                             np.tile(np.maximum(ulo, uhi), (m, 1)),
+                             np.tile(np.minimum(wlo, whi), (m, 1)),
+                             np.tile(np.maximum(wlo, whi), (m, 1)))
+    return _face_field(flo, fhi)
+
+
 def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_pair=None) -> np.ndarray:
     """Open-loop embedding field ``(d(lo,hi,u,uh,w,wh), d(hi,lo,uh,u,wh,w))``.
 
@@ -202,14 +220,7 @@ def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_p
         wlo, whi = _require_pair(w_pair, sys.q, "disturbance")
     lo, hi = state.lo, state.hi
     if sys.extension is not None and np.all(lo <= hi):
-        m = 2 * sys.n
-        # input and disturbance spans, unordered pairs allowed as in ``sys.d``
-        flo, fhi = sys.extension(*_face_rows(lo, hi, lo, hi),
-                                 np.tile(np.minimum(ulo, uhi), (m, 1)),
-                                 np.tile(np.maximum(ulo, uhi), (m, 1)),
-                                 np.tile(np.minimum(wlo, whi), (m, 1)),
-                                 np.tile(np.maximum(wlo, whi), (m, 1)))
-        return _face_field(flo, fhi)
+        return _extension_face_field(sys, lo, hi, lo, hi, ulo, uhi, wlo, whi)
     return np.concatenate([sys.d(lo, hi, ulo, uhi, wlo, whi),
                            sys.d(hi, lo, uhi, ulo, whi, wlo)])
 
@@ -353,14 +364,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         """
         sys = self.sys
         if sys.extension is not None:
-            m = 2 * sys.n
-            rows = _face_rows(np.minimum(a, b), np.maximum(a, b), a, b)
-            flo, fhi = sys.extension(*rows,
-                                     np.tile(np.minimum(ulo, uhi), (m, 1)),
-                                     np.tile(np.maximum(ulo, uhi), (m, 1)),
-                                     np.tile(np.minimum(wlo, whi), (m, 1)),
-                                     np.tile(np.maximum(wlo, whi), (m, 1)))
-            return _face_field(flo, fhi)
+            return _extension_face_field(sys, np.minimum(a, b), np.maximum(a, b), a, b,
+                                         ulo, uhi, wlo, whi)
         return np.concatenate([sys.d(a, b, ulo, uhi, wlo, whi),
                                sys.d(b, a, uhi, ulo, whi, wlo)])
 

@@ -1,17 +1,22 @@
-"""Partition tree and the contraction-guided adaptive stepping loop.
+"""Ordered leaf list and the contraction-guided adaptive stepping loop.
 
-The engine keeps a tree of boxes over the initial set.  Within every
-control interval each leaf integrates its own embedding; before committing
-to the full interval a leaf may integrate a short probe, extrapolate the
-interval width at the interval end from the observed growth ratio, and --
-if the projected width violates the per-axis tolerance -- discard the
-probe, split into ``2**n`` children at the interval start, and recurse.
+The engine keeps the partition of the initial set as one list of leaves
+``(box, path)`` in tree order: ``path`` is the tuple of child indices from
+the whole initial box, so a leaf's depth is ``len(path)`` and sorting by
+path gives the list order.  Within every control interval each leaf
+integrates its own embedding; before committing to the full interval a
+leaf may integrate a short probe, extrapolate the interval width at the
+interval end from the observed growth ratio, and -- if the projected
+width violates the per-axis tolerance -- discard the probe and take its
+place in the list as ``2**n`` children that restart the interval.
 
 Network verification is decoupled from partitioning.  With
-``nn = min(nn_depth_max, depth_max)``, a node recomputes the linear
-relaxation on its own box iff it sits at depth ``nn``, or it is a leaf
-shallower than ``nn``; every other node evaluates through its nearest
-verifying ancestor's relaxation while still re-evaluating the face caches
+``nn = min(nn_depth_max, depth_max)``, the leaves sharing ``path[:nn]``
+(the leaves under one depth-``nn`` box) sit next to each other and form a
+group, verified once per interval on the hull of its leaves' boxes; a leaf
+at depth ``nn`` or less is a group of its own.  A split child at depth
+``nn`` or less verifies its own box, a deeper one inherits the relaxation
+of the leaf it came from.  Every leaf still re-evaluates the face caches
 on its own (smaller) box.
 """
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 import warnings
 
@@ -42,7 +47,6 @@ from .intervals import (
 
 __all__ = [
     "AlgorithmParams",
-    "PartitionNode",
     "ReachTube",
     "StepStats",
     "ContinuousClosedLoopModel",
@@ -90,15 +94,6 @@ class AlgorithmParams:
                 f"{self.depth_max}; verification depth is capped at depth_max",
                 stacklevel=3,  # the caller of the generated __init__
             )
-
-
-@dataclass
-class PartitionNode:
-    """Tree node: current box, depth, and children (0 or 2**n)."""
-
-    box: IntervalVector
-    depth: int = 0
-    children: list = field(default_factory=list)
 
 
 class StepStats(NamedTuple):
@@ -317,63 +312,57 @@ def _predicate_fires(w0: float, w_probe: float, inv_gamma_eff: float) -> bool:
     return inv_gamma_eff * math.log(w_probe / w0) + math.log(w0) > 0.0
 
 
-def _step(node: PartitionNode, inherited, j: int, params: AlgorithmParams, model,
-          trajs: list):
-    """Advance one subtree across control interval ``j``.
+def _step_interval(leaves: list, j: int, params: AlgorithmParams, model):
+    """Advance the ordered leaves ``(box, path)`` across control interval ``j``.
 
-    Appends each leaf trajectory, in tree order, to ``trajs`` and returns
-    ``(nn calls, subdivisions, max leaf depth)``; mutates the tree in place
-    (successor boxes, new children).
+    Returns the successor leaves and their trajectories, both in tree
+    order, and the numbers of ``verify`` calls and of splits.
     """
     nn = min(params.nn_depth_max, params.depth_max)
-    eff = inherited
+    steps = model.interval_steps(j)
+    out, trajs = [], []
     nn_calls = subdivisions = 0
-    if node.depth == nn or (not node.children and node.depth < nn):
-        eff = model.verify(node.box)
-        nn_calls = 1
-
-    if not node.children:
-        steps = model.interval_steps(j)
-        emb = model.make_embedding()
-        emb.refresh_control(node.box, reverify=False, inherited=eff,
-                            interval_index=j)
-        probing = node.depth < params.depth_max
-        k = _probe_steps(params.gamma, steps) if probing else steps
-        traj = model.advance(emb, node.box.lo, node.box.hi, k)
-        if probing and _predicate_fires(
-                weighted_inf_norm(node.box.width, params.eps),
-                weighted_inf_norm(traj[-1, 1] - traj[-1, 0], params.eps), steps / k):
-            # discard the probe and restart the interval from the children
-            subdivisions = 1
-            node.children = [PartitionNode(b, depth=node.depth + 1)
-                             for b in uniform_divide(node.box)]
-        else:
+    for _, group in itertools.groupby(leaves, key=lambda leaf: leaf[1][:nn]):
+        group = list(group)
+        eff = model.verify(interval_hull(box for box, _ in group))
+        nn_calls += 1
+        # a stack, so that split children pop in tree order; a child with
+        # no relaxation (None) verifies its own box
+        todo = [(box, path, eff) for box, path in reversed(group)]
+        while todo:
+            box, path, eff = todo.pop()
+            if eff is None:
+                eff = model.verify(box)
+                nn_calls += 1
+            emb = model.make_embedding()
+            emb.refresh_control(box, reverify=False, inherited=eff, interval_index=j)
+            probing = len(path) < params.depth_max
+            k = _probe_steps(params.gamma, steps) if probing else steps
+            traj = model.advance(emb, box.lo, box.hi, k)
+            if probing and _predicate_fires(
+                    weighted_inf_norm(box.width, params.eps),
+                    weighted_inf_norm(traj[-1, 1] - traj[-1, 0], params.eps), steps / k):
+                # discard the probe and restart the interval from the children
+                subdivisions += 1
+                inherited = None if len(path) < nn else eff
+                children = list(enumerate(uniform_divide(box)))
+                todo.extend((child, path + (i,), inherited) for i, child in reversed(children))
+                continue
             if k < steps:
                 rest = model.advance(emb, traj[-1, 0], traj[-1, 1], steps - k)
                 traj = np.concatenate([traj, rest[1:]], axis=0)
-            node.box = IntervalVector(traj[-1, 0], traj[-1, 1])
+            out.append((IntervalVector(traj[-1, 0], traj[-1, 1]), path))
             trajs.append(traj)
-            return nn_calls, subdivisions, node.depth
-
-    max_depth = node.depth
-    for child in node.children:
-        calls, subs, depth = _step(child, eff, j, params, model, trajs)
-        nn_calls += calls
-        subdivisions += subs
-        max_depth = max(max_depth, depth)
-    node.box = interval_hull([child.box for child in node.children])
-    return nn_calls, subdivisions, max_depth
+    return out, trajs, nn_calls, subdivisions
 
 
-def _build_uniform_tree(box: IntervalVector, depth_max: int,
-                        depth: int = 0) -> PartitionNode:
-    node = PartitionNode(box, depth=depth)
-    if depth < depth_max:
-        node.children = [
-            _build_uniform_tree(b, depth_max, depth + 1)
-            for b in uniform_divide(box)
-        ]
-    return node
+def _build_uniform_tree(box: IntervalVector, depth_max: int) -> list:
+    """The leaves ``(box, path)`` of the full tree of depth ``depth_max``, in tree order."""
+    leaves = [(box, ())]
+    for _ in range(depth_max):
+        leaves = [(child, path + (i,)) for parent, path in leaves
+                  for i, child in enumerate(uniform_divide(parent))]
+    return leaves
 
 
 def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
@@ -390,17 +379,17 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
     if params.eps.n != model.n:
         raise ValueError("eps must have one entry per state dimension")
     if params.mode == "uniform":
-        root = _build_uniform_tree(root_box, params.depth_max)
+        leaves = _build_uniform_tree(root_box, params.depth_max)
     else:
-        root = PartitionNode(root_box)
+        leaves = [(root_box, ())]
 
     boxes = [root_box.as_array()[None, :, :]]
     stats = []
     for j in range(1, model.num_intervals + 1):
-        trajs = []
-        nn_calls, subdivisions, max_depth = _step(root, None, j, params, model, trajs)
+        leaves, trajs, nn_calls, subdivisions = _step_interval(leaves, j, params, model)
         boxes.extend(np.stack(trajs, axis=1)[1:])
+        max_depth = max(len(path) for _, path in leaves)
         assert max_depth <= params.depth_max, "depth budget violated"
-        stats.append(StepStats(j, model.instants[j], len(trajs), max_depth,
+        stats.append(StepStats(j, model.instants[j], len(leaves), max_depth,
                                nn_calls, subdivisions))
     return ReachTube(times=model.times, boxes=boxes, interval_stats=stats)

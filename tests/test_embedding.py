@@ -188,6 +188,17 @@ class TestTightDecomposition:
         with pytest.raises(ValueError, match="crossed"):
             d(np.array([0.0]), np.array([1.0]), empty, empty, empty, empty)
 
+    def test_nan_enclosure_rejected(self):
+        # f(x) = sqrt(x - 1) is NaN on [0.5, 0.6]: no end of it is a bound
+        def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(Xlo - 1.0), np.sqrt(Xhi - 1.0)
+
+        d = build_tight_decomposition(ext)
+        empty = np.zeros(0)
+        with pytest.raises(ValueError, match="crossed enclosures"):
+            d(np.array([0.5]), np.array([0.6]), empty, empty, empty, empty)
+
 
 def check_decomposition_properties(sys, rng, count, sampler, tol_i=1e-9, tol_ii=1e-12):
     """Properties of a valid decomposition on random tuples.

@@ -13,11 +13,16 @@ from nncreach import (
     affine_system,
     compute_reachable_set,
 )
+from nncreach.intervals import interval_hull
 from nncreach.partition import _predicate_fires, _probe_steps
 
 from conftest import zero_network
 
 INF = np.inf
+
+
+def _same_box(a, b):
+    return np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
 
 
 def scalar_growth_model(rate=1.0, horizon=math.log(2.0), steps=100):
@@ -195,6 +200,59 @@ class TestBudgets:
         depths = [int(round(math.log2(box.width[0] / b.width[0]))) for b in first]
         assert sorted(depths) == [0, 1, 1, 1, 1]
         assert stats[0].max_depth == 3
+
+    @pytest.mark.parametrize("mode, eps, dp, dn", [
+        ("uniform", INF, 3, 1), ("uniform", INF, 2, 0), ("adaptive", 0.0, 3, 2),
+        ("adaptive", 0.7, 3, 0), ("adaptive", 0.7, 3, 3)])
+    def test_later_intervals_verify_group_hulls(self, di_net, mode, eps, dp, dn):
+        # from interval 2 on, each group of leaves under one depth-nn node
+        # is verified once, on the hull of the previous interval's final
+        # boxes of those leaves (tube.boxes[j - 1]; one DI step per interval)
+        model = di_model(di_net, horizon=5)
+        box = IntervalVector(np.array([2.5, -0.25]), np.array([3.0, 0.25]))
+        verified = []
+        verify = model.verify
+
+        def recording_verify(b):
+            verified.append(b)
+            return verify(b)
+
+        model.verify = recording_verify
+        tube = compute_reachable_set(box, params([eps, eps], dp=dp, dn=dn, mode=mode),
+                                     model)
+        calls = iter(verified)
+        per_interval = [[next(calls) for _ in range(s.nn_calls)]
+                        for s in tube.interval_stats]
+        nn = min(dp, dn)
+        later_splits = 0
+        for j, (stats, boxes) in enumerate(zip(tube.interval_stats, per_interval), 1):
+            if j == 1:
+                continue
+            leaves = [IntervalVector(lo, hi) for lo, hi in tube.boxes[j - 1]]
+            if eps in (0.0, INF):  # every leaf sits at depth dp: blocks of 4**(dp - nn)
+                size = 4 ** (dp - nn)
+                groups = [leaves[k:k + size] for k in range(0, len(leaves), size)]
+                expected = [interval_hull(g) for g in groups]
+                assert stats.subdivisions == 0
+            elif nn == 0:  # one group; split children inherit its relaxation
+                expected = [interval_hull(leaves)]
+            else:  # nn == dp: each leaf verifies its own box, then each split child
+                kept, owner, pending = [], None, iter(leaves)
+                nxt = next(pending, None)
+                for b in boxes:
+                    if nxt is not None and _same_box(b, nxt):
+                        kept.append(b)
+                        owner, nxt = nxt, next(pending, None)
+                    else:
+                        assert owner is not None and owner.contains_box(b)
+                assert nxt is None, "a leaf of the previous interval was not verified"
+                assert len(boxes) == len(leaves) + 4 * stats.subdivisions
+                boxes, expected = kept, leaves
+            later_splits += stats.subdivisions
+            assert len(boxes) == len(expected)
+            assert all(_same_box(b, e) for b, e in zip(boxes, expected))
+        if eps == 0.7:
+            assert later_splits > 0
 
 
 class TestTreeStats:
