@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalVector
+from .intervals import IntervalVector, _matvec
 from .networks import MLPNetwork
 
 __all__ = [
@@ -196,18 +196,24 @@ class InclusionFunction:
             raise DomainError("query box not contained in the relaxation domain")
 
     def __call__(self, a, b, check: bool = True):
+        """Output bounds at a pair of vectors, or row by row at ``(m, n)`` stacks."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if check:
             self.check_domain(a, b)
         lo_in = np.minimum(a, b)
         hi_in = np.maximum(a, b)
-        lo = self._Clp @ lo_in + self._Cln @ hi_in + self.bounds.d_lo
-        hi = self._Chp @ hi_in + self._Chn @ lo_in + self.bounds.d_hi
+        lo = _matvec(self._Clp, lo_in) + _matvec(self._Cln, hi_in) + self.bounds.d_lo
+        hi = _matvec(self._Chp, hi_in) + _matvec(self._Chn, lo_in) + self.bounds.d_hi
         return lo, hi
 
     def batch(self, A, B, check: bool = True):
-        """Row-wise evaluation for stacks of argument pairs ``(m, n)``."""
+        """Row-wise evaluation for stacks of argument pairs ``(m, n)``.
+
+        The engine's face caches come from here; its ``@ C.T`` products may
+        differ from :meth:`__call__` in the last place, so the reach tubes
+        depend on this form.
+        """
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         lo_in = np.minimum(A, B)

@@ -30,37 +30,47 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
-    """Deterministic low-discrepancy points in ``[0, 1)^dims``."""
+    """Deterministic low-discrepancy points in ``[0, 1)^dims``.
+
+    Point ``i`` is the radical inverse of ``i + skip + 1`` in the ``d``-th
+    prime base on axis ``d``, summed digit by digit from the least
+    significant one; all points and axes take each digit position at once.
+    """
     if dims > len(_PRIMES):
         raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
-    out = np.empty((count, dims))
-    for d in range(dims):
-        base = _PRIMES[d]
-        for i in range(count):
-            k = i + skip + 1
-            f = 1.0
-            r = 0.0
-            while k > 0:
-                f /= base
-                r += f * (k % base)
-                k //= base
-            out[i, d] = r
-    return out
+    base = np.array(_PRIMES[:dims])
+    k = np.repeat(np.arange(skip + 1, skip + 1 + count)[:, None], dims, axis=1)
+    f = np.ones(dims)
+    r = np.zeros((count, dims))
+    while k.any():
+        f /= base
+        # a finished index adds f * 0, which leaves its sum unchanged
+        r += f * (k % base)
+        k //= base
+    return r
 
 
-def fd_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``fun`` at ``x``."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fun(x), dtype=float)
-    J = np.empty((f0.shape[0], x.shape[0]))
-    for k in range(x.shape[0]):
-        h = rel_step * max(1.0, abs(x[k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        J[:, k] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
-    return J
+def fd_jacobian(fun, X, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobians of ``fun`` at every row of ``X``.
+
+    ``X`` is ``(m, d)``.  ``fun(rows, idx)`` maps a ``(k, d)`` row stack to
+    ``(k, out)``; ``idx[r]`` is the row of ``X`` that row ``r`` perturbs, so
+    ``fun`` can pair it with that sample's other arguments.  All ``2 d m``
+    perturbed rows go to ``fun`` in one call, each axis moved by
+    ``h = rel_step * max(1, |x|)``.  Returns ``(m, out, d)``.
+    """
+    X = np.asarray(X, dtype=float)
+    m, d = X.shape
+    h = (rel_step * np.maximum(1.0, np.abs(X))).T  # (d, m)
+    # rows [sign, axis, sample]: X with axis k of its sample moved by +h / -h
+    rows = np.broadcast_to(X, (2, d, m, d)).copy()
+    axes = np.arange(d)
+    rows[0, axes, :, axes] += h
+    rows[1, axes, :, axes] -= h
+    F = np.asarray(fun(rows.reshape(-1, d), np.tile(np.arange(m), 2 * d)), dtype=float)
+    F = F.reshape(2, d, m, -1)
+    J = (F[0] - F[1]) / (2.0 * h[..., None])  # (d, m, out)
+    return np.ascontiguousarray(J.transpose(1, 2, 0))
 
 
 @dataclass
@@ -123,7 +133,7 @@ def error_bound(est, t: float, init_err: float, nn_err_sup: float,
 # Sampling and analysis fields.
 
 def _sample_pairs(box: IntervalVector, grid_density: int, samples_per_box: int):
-    """Deterministic ordered pairs ``(a, b)`` with ``a <= b`` inside ``box``.
+    """Deterministic ordered pairs ``(A, B)``, ``(S, n)`` arrays with ``A <= B`` inside ``box``.
 
     Uses per-axis endpoint grids when the combinatorics stay small and
     Halton points otherwise.  Pairs keep a positive separation on every
@@ -131,49 +141,29 @@ def _sample_pairs(box: IntervalVector, grid_density: int, samples_per_box: int):
     ordering boundary.
     """
     n = box.n
-    lo, hi = box.lo, box.hi
-    w = hi - lo
-    pairs = []
     n_axis_pairs = grid_density * (grid_density + 1) // 2
     if n_axis_pairs ** n <= 512:
         g = np.linspace(0.0, 0.9, grid_density)
         # fractions (fa, fb) with fb - fa >= 0.1 so pairs stay separated
-        axis_pairs = [(fa, fa + 0.1 + 0.9 * (fb - fa)) for i, fa in enumerate(g)
-                      for fb in g[i:]]
-        total = n_axis_pairs ** n
-        for flat in range(total):
-            rem = flat
-            a = np.empty(n)
-            b = np.empty(n)
-            for ax in range(n):
-                rem, sel = divmod(rem, n_axis_pairs)
-                fa, fb = axis_pairs[sel]
-                a[ax] = lo[ax] + fa * w[ax]
-                b[ax] = lo[ax] + fb * w[ax]
-            pairs.append((a, b))
+        i, j = np.triu_indices(grid_density)
+        pair_fa = g[i]
+        pair_fb = pair_fa + 0.1 + 0.9 * (g[j] - pair_fa)
+        # sample s takes axis pair (s // n_axis_pairs**ax) % n_axis_pairs on axis ax
+        sel = (np.arange(n_axis_pairs ** n)[:, None]
+               // n_axis_pairs ** np.arange(n)) % n_axis_pairs
+        fa, fb = pair_fa[sel], pair_fb[sel]
     else:
         pts = halton(samples_per_box, 2 * n)
-        for row in pts:
-            f1, f2 = row[:n], row[n:]
-            fa = np.minimum(f1, f2) * 0.45
-            fb = 1.0 - (1.0 - np.maximum(f1, f2)) * 0.45
-            pairs.append((lo + fa * w, lo + fb * w))
-    return pairs
+        f1, f2 = pts[:, :n], pts[:, n:]
+        fa = np.minimum(f1, f2) * 0.45
+        fb = 1.0 - (1.0 - np.maximum(f1, f2)) * 0.45
+    w = box.hi - box.lo
+    return box.lo + fa * w, box.lo + fb * w
 
 
-def _closed_field(emb):
-    """Embedding field with the relaxation applied at the evaluation state."""
-    incl = emb.incl
-    if incl is None:
-        raise RuntimeError("embedding has no inclusion function; call refresh_control")
-    n = emb.n
-
-    def closed_field(s):
-        a, b = s[:n], s[n:]
-        ulo, uhi = incl(a, b, check=False)
-        return emb.open_field(a, b, ulo, uhi, emb.w_lo, emb.w_hi)
-
-    return closed_field
+def _sup(start: float, values) -> float:
+    """``max(start, v_0, v_1, ...)`` over ``values`` in C order, as a running max takes them."""
+    return max([start, *np.ravel(values).tolist()])
 
 
 def estimate_contraction(emb, region, grid_density: int = 5,
@@ -186,56 +176,69 @@ def estimate_contraction(emb, region, grid_density: int = 5,
     composite bound is directly comparable against the closed-loop
     estimate.  ``emb`` is either embedding after ``refresh_control``; it
     supplies the dimensions, the disturbance box and ``open_field``.
+
+    Every sample pair of the region is differenced at once: each Jacobian
+    below is one :func:`fd_jacobian` call over all samples, with the row
+    stacks that ``open_field`` and the inclusion function accept.
     """
     region = list(region)
     if not region:
         raise ValueError("region must contain at least one box")
-    closed_field = _closed_field(emb)
+    if grid_density < 1 or samples_per_box < 1:
+        # no sample pairs: the maxima would report an infinite contraction rate
+        raise ValueError("grid_density and samples_per_box must be at least 1")
+    incl = emb.incl
+    if incl is None:
+        raise RuntimeError("embedding has no inclusion function; call refresh_control")
     open_field = emb.open_field
-    n, p, q, wlo, whi = emb.n, emb.p, emb.q, emb.w_lo, emb.w_hi
-    domain = emb.incl.domain
+    n, p, q = emb.n, emb.p, emb.q
     for box in region:
-        if not domain.contains_box(box, slack=1e-9):
+        if not incl.domain.contains_box(box, slack=1e-9):
             raise ValueError("region leaves the inclusion function's domain")
 
-    incl = emb.incl
-    c_x = -math.inf
-    c_x_open = -math.inf
-    l_u = 0.0
+    pairs = [_sample_pairs(box, grid_density, samples_per_box) for box in region]
+    A = np.concatenate([a for a, _ in pairs])
+    B = np.concatenate([b for _, b in pairs])
+    states = np.concatenate([A, B], axis=1)
+    count = A.shape[0]
+    Wlo = np.broadcast_to(emb.w_lo, (count, q))
+    Whi = np.broadcast_to(emb.w_hi, (count, q))
+
+    def closed_field(rows, idx):
+        # the relaxation applied at the evaluation state
+        a, b = rows[:, :n], rows[:, n:]
+        return open_field(a, b, *incl(a, b, check=False), Wlo[idx], Whi[idx])
+
+    c_x = _sup(-math.inf, matrix_measure_inf(fd_jacobian(closed_field, states, fd_step)))
+
+    ulo, uhi = incl(A, B, check=False)
+    umid = 0.5 * (ulo + uhi)
+    # the suprema range over every input pair inside the network
+    # bounds, so probe interior pairs besides the extreme one
+    u_pairs = [(ulo, uhi), (umid, umid), (0.5 * (ulo + umid), 0.5 * (uhi + umid))]
+    open_rates = []
+    u_gains = []
+    for Ulo, Uhi in u_pairs:
+        def open_at_state(rows, idx):
+            return open_field(rows[:, :n], rows[:, n:], Ulo[idx], Uhi[idx], Wlo[idx], Whi[idx])
+
+        open_rates.append(matrix_measure_inf(fd_jacobian(open_at_state, states, fd_step)))
+        if p:
+            def open_at_u(rows, idx):
+                return open_field(A[idx], B[idx], rows[:, :p], rows[:, p:], Wlo[idx], Whi[idx])
+
+            J_u = fd_jacobian(open_at_u, np.concatenate([Ulo, Uhi], axis=1), fd_step)
+            u_gains.append(np.abs(J_u).sum(axis=-1).max(axis=-1))
+    # rows are samples and columns input pairs: a per-sample loop's order
+    c_x_open = _sup(-math.inf, np.stack(open_rates, axis=1))
+    l_u = _sup(0.0, np.stack(u_gains, axis=1)) if p else 0.0
     l_w = 0.0
-    count = 0
-    for box in region:
-        for a, b in _sample_pairs(box, grid_density, samples_per_box):
-            count += 1
-            s = np.concatenate([a, b])
-            J_closed = fd_jacobian(closed_field, s, fd_step)
-            c_x = max(c_x, matrix_measure_inf(J_closed))
-            ulo, uhi = incl(a, b, check=False)
-            umid = 0.5 * (ulo + uhi)
-            # the suprema range over every input pair inside the network
-            # bounds, so probe interior pairs besides the extreme one
-            u_pairs = [(ulo, uhi), (umid, umid),
-                       (0.5 * (ulo + umid), 0.5 * (uhi + umid))]
+    if q:
+        def open_at_w(rows, idx):
+            return open_field(A[idx], B[idx], ulo[idx], uhi[idx], rows[:, :q], rows[:, q:])
 
-            for u_pair in u_pairs:
-                def open_at_state(sv, _u=u_pair):
-                    return open_field(sv[:n], sv[n:], _u[0], _u[1], wlo, whi)
-
-                J_open = fd_jacobian(open_at_state, s, fd_step)
-                c_x_open = max(c_x_open, matrix_measure_inf(J_open))
-
-                if p:
-                    def open_at_u(uv, _s=(a, b)):
-                        return open_field(_s[0], _s[1], uv[:p], uv[p:], wlo, whi)
-
-                    J_u = fd_jacobian(open_at_u, np.concatenate(u_pair), fd_step)
-                    l_u = max(l_u, float(np.abs(J_u).sum(axis=1).max()))
-            if q:
-                def open_at_w(wv, _s=(a, b), _u=(ulo, uhi)):
-                    return open_field(_s[0], _s[1], _u[0], _u[1], wv[:q], wv[q:])
-
-                J_w = fd_jacobian(open_at_w, np.concatenate([wlo, whi]), fd_step)
-                l_w = max(l_w, float(np.abs(J_w).sum(axis=1).max()))
+        J_w = fd_jacobian(open_at_w, np.concatenate([Wlo, Whi], axis=1), fd_step)
+        l_w = _sup(0.0, np.abs(J_w).sum(axis=-1).max(axis=-1))
 
     lip = incl.state_lipschitz_inf()
     n_axis_pairs = grid_density * (grid_density + 1) // 2

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import InclusionFunction, crown_bounds, make_inclusion
-from .intervals import EmbeddingState, IntervalVector
+from .intervals import EmbeddingState, IntervalVector, _matvec
 
 __all__ = [
     "OpenLoopSystem",
@@ -165,17 +165,20 @@ def _face_rows(span_lo, span_hi, a, b, out=None):
     """The ``2n`` faces of a span as row-stacked boxes ``(Xlo, Xhi)``.
 
     Row ``i`` is the span with coordinate ``i`` pinned at ``a_i``, row
-    ``n + i`` the span with it pinned at ``b_i``.  ``out`` is an optional
-    pair of contiguous ``(2n, n)`` buffers to fill instead of allocating.
+    ``n + i`` the span with it pinned at ``b_i``.  The pins may carry
+    leading axes, ``(..., n)``, giving ``(..., 2n, n)`` face blocks; the
+    spans broadcast against those blocks, so a stack of spans is passed as
+    ``(..., 1, n)``.  ``out`` is an optional pair of contiguous buffers to
+    fill instead of allocating.
     """
-    n = span_lo.shape[0]
+    lead, n = a.shape[:-1], a.shape[-1]
     if out is None:
-        out = (np.empty((2 * n, n)), np.empty((2 * n, n)))
+        out = (np.empty(lead + (2 * n, n)), np.empty(lead + (2 * n, n)))
     for X, span in zip(out, (span_lo, span_hi)):
-        X[:] = span
-        flat = X.reshape(-1)  # a view, so the diagonals are pinned in place
-        flat[:n * n:n + 1] = a
-        flat[n * n::n + 1] = b
+        X[...] = span
+        flat = X.reshape(lead + (-1,))  # a view, so the diagonals are pinned in place
+        flat[..., :n * n:n + 1] = a
+        flat[..., n * n::n + 1] = b
     return out
 
 
@@ -183,10 +186,10 @@ def _face_field(flo, fhi) -> np.ndarray:
     """Embedding field from an enclosure over :func:`_face_rows`.
 
     Face ``i`` contributes the lower end of ``f_i``, face ``n + i`` the
-    upper end.
+    upper end; ``(..., 2n, n)`` blocks give ``(..., 2n)`` fields.
     """
-    n = flo.shape[1]
-    return np.concatenate([flo[:n].diagonal(), fhi[n:].diagonal()])
+    n = flo.shape[-1]
+    return np.concatenate([flo.diagonal(0, -2, -1), fhi.diagonal(-n, -2, -1)], axis=-1)
 
 
 def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
@@ -195,14 +198,22 @@ def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
 
     The faces are :func:`_face_rows` of the state span pinned at ``a`` and
     ``b``; input and disturbance pairs may be unordered, as in ``sys.d``.
+    With ``(m, ·)`` row stacks every argument carries the leading axis
+    (spans as ``(m, 1, n)``), and the ``m`` face blocks go to the
+    extension as one ``(m * 2n, n)`` call.
     """
-    m = 2 * sys.n
-    flo, fhi = sys.extension(*_face_rows(span_lo, span_hi, a, b),
-                             np.tile(np.minimum(ulo, uhi), (m, 1)),
-                             np.tile(np.maximum(ulo, uhi), (m, 1)),
-                             np.tile(np.minimum(wlo, whi), (m, 1)),
-                             np.tile(np.maximum(wlo, whi), (m, 1)))
-    return _face_field(flo, fhi)
+    Xlo, Xhi = _face_rows(span_lo, span_hi, a, b)
+    n = sys.n
+    rows = Xlo.size // n
+
+    def per_face(v):  # each pair repeated on the 2n face rows of its block
+        return np.broadcast_to(v[..., None, :], (*Xlo.shape[:-1], v.shape[-1])
+                               ).reshape(rows, v.shape[-1])
+
+    flo, fhi = sys.extension(Xlo.reshape(rows, n), Xhi.reshape(rows, n),
+                             per_face(np.minimum(ulo, uhi)), per_face(np.maximum(ulo, uhi)),
+                             per_face(np.minimum(wlo, whi)), per_face(np.maximum(wlo, whi)))
+    return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
 
 
 def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_pair=None) -> np.ndarray:
@@ -361,11 +372,19 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         min/max while the face pins keep the true endpoint values.  (On
         crossed pairs :func:`open_embedding_field` instead falls back to the
         decomposition ``d``, so the two are not interchangeable.)
+
+        The arguments are single vectors or ``(m, ·)`` row stacks, all six
+        alike; a stack gives the ``(m, 2n)`` fields of its rows, with one
+        extension call, or one ``sys.d`` pair per row for a system without
+        an extension.
         """
         sys = self.sys
         if sys.extension is not None:
-            return _extension_face_field(sys, np.minimum(a, b), np.maximum(a, b), a, b,
+            return _extension_face_field(sys, np.minimum(a, b)[..., None, :],
+                                         np.maximum(a, b)[..., None, :], a, b,
                                          ulo, uhi, wlo, whi)
+        if np.ndim(a) == 2:
+            return np.array([self.open_field(*row) for row in zip(a, b, ulo, uhi, wlo, whi)])
         return np.concatenate([sys.d(a, b, ulo, uhi, wlo, whi),
                                sys.d(b, a, uhi, ulo, whi, wlo)])
 
@@ -451,8 +470,12 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         out[0], out[1] = self.step(cur[0], cur[1])
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
-        """Open-loop one-step map on a pair; the disturbance arguments are unused."""
+        """Open-loop one-step map on a pair, or row by row on ``(m, ·)`` stacks.
+
+        The disturbance arguments are unused.
+        """
+        Ap, An, Bp, Bn = self._Ap, self._An, self._Bp, self._Bn
         return np.concatenate([
-            self._Ap @ a + self._An @ b + self._Bp @ ulo + self._Bn @ uhi,
-            self._An @ a + self._Ap @ b + self._Bn @ ulo + self._Bp @ uhi,
-        ])
+            _matvec(Ap, a) + _matvec(An, b) + _matvec(Bp, ulo) + _matvec(Bn, uhi),
+            _matvec(An, a) + _matvec(Ap, b) + _matvec(Bn, ulo) + _matvec(Bp, uhi),
+        ], axis=-1)

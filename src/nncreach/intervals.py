@@ -171,20 +171,33 @@ def weighted_inf_norm(x, eps) -> float:
     return float(out.max())
 
 
-def matrix_measure_inf(A) -> float:
+def matrix_measure_inf(A):
     """One-sided derivative of the induced max norm at the identity.
 
     Equals ``max_i (A_ii + sum_{j != i} |A_ij|)``; negative values certify
-    contraction in the max norm.
+    contraction in the max norm.  A ``(..., n, n)`` stack gives an array of
+    one measure per matrix, a single matrix a float.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
-        return 0.0
-    absrow = np.abs(A).sum(axis=1)
-    diag = np.diag(A)
-    return float((diag + absrow - np.abs(diag)).max())
+    if A.shape[-1] == 0:
+        mu = np.zeros(A.shape[:-2])
+    else:
+        absrow = np.abs(A).sum(axis=-1)
+        diag = np.diagonal(A, axis1=-2, axis2=-1)
+        mu = (diag + absrow - np.abs(diag)).max(axis=-1)
+    return float(mu) if A.ndim == 2 else mu
+
+
+def _matvec(M, X):
+    """``M @ x`` for every row ``x`` of ``X`` (or for a single vector ``X``).
+
+    The stacked ``matmul`` gives each row the bits of the single product
+    ``M @ x``; ``X @ M.T`` and ``einsum`` can differ from it in the last
+    place.
+    """
+    return np.matmul(M, X[..., None])[..., 0]
 
 
 def uniform_divide(box: IntervalVector) -> list[IntervalVector]:

@@ -199,6 +199,25 @@ class TestInclusionFunction:
                 wins += 1
         assert wins / total >= 0.95
 
+    def test_stacked_call_matches_rows(self):
+        """Row stacks give each row's bits; a single pair keeps the ``@`` formula's."""
+        rng = np.random.default_rng(21)
+        net = random_relu_network(rng, n_in=6, n_out=2, depth=3)
+        box = random_box(rng, 6)
+        incl = make_inclusion(crown_bounds(net, box))
+        A = box.lo + rng.uniform(size=(40, 6)) * box.width
+        B = box.lo + rng.uniform(size=(40, 6)) * box.width  # unordered on some axes
+        lo, hi = incl(A, B)
+        rows = [incl(a, b) for a, b in zip(A, B)]
+        assert lo.tobytes() == np.array([r[0] for r in rows]).tobytes()
+        assert hi.tobytes() == np.array([r[1] for r in rows]).tobytes()
+        lb = incl.bounds
+        a, b = np.minimum(A[0], B[0]), np.maximum(A[0], B[0])
+        want_lo = (np.maximum(lb.C_lo, 0.0) @ a + np.minimum(lb.C_lo, 0.0) @ b + lb.d_lo)
+        want_hi = (np.maximum(lb.C_hi, 0.0) @ b + np.minimum(lb.C_hi, 0.0) @ a + lb.d_hi)
+        assert rows[0][0].tobytes() == want_lo.tobytes()
+        assert rows[0][1].tobytes() == want_hi.tobytes()
+
     def test_state_lipschitz_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         net = random_relu_network(rng, n_in=3, n_out=2, depth=2)

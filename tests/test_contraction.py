@@ -72,6 +72,14 @@ class TestEstimateCx:
         with pytest.raises(ValueError, match="domain"):
             estimate_contraction(emb, [outside])
 
+    @pytest.mark.parametrize("kwargs", [{"grid_density": 0}, {"samples_per_box": 0}])
+    def test_empty_sample_set_rejected(self, kwargs):
+        sys = affine_system(-np.eye(3), np.ones((3, 1)))  # 3 states: the Halton branch
+        domain = IntervalVector(-np.ones(3), np.ones(3))
+        emb = embedding_for(sys, constant_inclusion(3, 1, domain))
+        with pytest.raises(ValueError, match="at least 1"):
+            estimate_contraction(emb, [domain], **kwargs)
+
     def test_monotone_in_region(self):
         rng = np.random.default_rng(3)
         net = random_relu_network(rng, n_in=2, n_out=1, depth=2)
@@ -168,11 +176,59 @@ class TestCompositeDominance:
 
 class TestNumericHelpers:
     def test_fd_jacobian_on_quadratic(self):
-        def f(x):
-            return np.array([x[0] ** 2 + x[1], 3.0 * x[1]])
+        def f(x, idx):
+            return np.stack([x[:, 0] ** 2 + x[:, 1], 3.0 * x[:, 1]], axis=1)
 
-        J = fd_jacobian(f, np.array([2.0, -1.0]))
+        J = fd_jacobian(f, np.array([[2.0, -1.0]]))[0]
         assert np.allclose(J, [[4.0, 1.0], [0.0, 3.0]], atol=1e-5)
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (1, 4), (7, 3), (12, 6)])
+    def test_fd_jacobian_matches_per_point_loop(self, m, d):
+        """The stacked differences equal a loop over points, one axis at a time."""
+        rng = np.random.default_rng(m * 10 + d)
+        X = rng.normal(size=(m, d)) * rng.choice([1e-3, 0.5, 1.0, 3.0, 1e4], size=(m, d))
+        scale = rng.normal(size=(m, 2))  # per-sample data that fun looks up by idx
+
+        def fun(rows, idx):
+            return np.stack([np.sin(rows[:, 0]) * scale[idx, 0] + rows[:, -1] ** 2,
+                             rows.sum(axis=1) * scale[idx, 1],
+                             np.exp(0.1 * rows[:, 0] * rows[:, -1])], axis=1)
+
+        def per_point(i):
+            x = X[i].copy()
+            J = np.empty((3, d))
+            for k in range(d):
+                h = 1e-6 * max(1.0, abs(x[k]))
+                xp = x.copy()
+                xm = x.copy()
+                xp[k] += h
+                xm[k] -= h
+                J[:, k] = (fun(xp[None], [i])[0] - fun(xm[None], [i])[0]) / (2.0 * h)
+            return J
+
+        J = fd_jacobian(fun, X)
+        assert J.shape == (m, 3, d)
+        assert J.tobytes() == np.array([per_point(i) for i in range(m)]).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 32, 128])
+    @pytest.mark.parametrize("skip", [0, 20])
+    def test_halton_matches_digit_loop(self, count, skip):
+        """Digit positions taken for all points at once give the per-point loop's bits."""
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        for dims in range(1, 13):
+            want = np.empty((count, dims))
+            for d in range(dims):
+                base = primes[d]
+                for i in range(count):
+                    k = i + skip + 1
+                    f = 1.0
+                    r = 0.0
+                    while k > 0:
+                        f /= base
+                        r += f * (k % base)
+                        k //= base
+                    want[i, d] = r
+            assert halton(count, dims, skip).tobytes() == want.tobytes()
 
     def test_halton_spread(self):
         pts = halton(128, 3)

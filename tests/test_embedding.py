@@ -429,6 +429,59 @@ class TestDiscreteLTIEmbedding:
             emb.step(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
 
 
+class TestStackedOpenField:
+    """``open_field`` on ``(m, ·)`` row stacks gives each row's bits."""
+
+    @staticmethod
+    def assert_rows_match(emb, a, b, ulo, uhi, wlo, whi):
+        got = emb.open_field(a, b, ulo, uhi, wlo, whi)
+        assert got.shape == (a.shape[0], 2 * a.shape[1])
+        rows = [emb.open_field(*row) for row in zip(a, b, ulo, uhi, wlo, whi)]
+        assert got.tobytes() == np.array(rows).tobytes()
+        return rows
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (3, 2), (5, 2)])
+    def test_discrete_map(self, n, p):
+        rng = np.random.default_rng(n)
+        if n == 2:  # the double integrator
+            A, B = TestDiscreteLTIEmbedding.A, TestDiscreteLTIEmbedding.B
+        else:
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, p))
+        emb = DiscreteLTIEmbedding(A, B)
+        a = rng.normal(size=(50, n)) * 3.0
+        b = a + rng.normal(size=(50, n))  # crossed on some axes
+        ulo, uhi = rng.normal(size=(2, 50, p))
+        rows = self.assert_rows_match(emb, a, b, ulo, uhi, np.zeros((50, 0)), np.zeros((50, 0)))
+        # a single pair keeps the bits of the @ products
+        Ap, An, Bp, Bn = emb._Ap, emb._An, emb._Bp, emb._Bn
+        want = np.concatenate([Ap @ a[0] + An @ b[0] + Bp @ ulo[0] + Bn @ uhi[0],
+                               An @ a[0] + Ap @ b[0] + Bn @ ulo[0] + Bp @ uhi[0]])
+        assert rows[0].tobytes() == want.tobytes()
+
+    def test_vehicle_extension(self):
+        emb = ClosedLoopEmbedding(VehicleSystem().open_loop())
+        rng = np.random.default_rng(5)
+        m = 64
+        # headings just below multiples of pi/2, so most spans cross one
+        heading = 0.5 * math.pi * rng.integers(-4, 5, size=m) - 0.05 * rng.uniform(size=m)
+        a = np.column_stack([rng.normal(size=m) * 10.0, rng.normal(size=m), heading,
+                             rng.normal(size=m) * 2.0])
+        b = a + np.column_stack([rng.uniform(-0.01, 1.0, size=(m, 2)),
+                                 rng.uniform(0.0, 0.2, size=m), rng.uniform(-0.01, 3.0, size=m)])
+        ulo = rng.normal(size=(m, 2)) * [25.0, 1.0]  # beyond both limits on some rows
+        uhi = rng.normal(size=(m, 2)) * [25.0, 1.0]
+        self.assert_rows_match(emb, a, b, ulo, uhi, np.zeros((m, 0)), np.zeros((m, 0)))
+
+    def test_decomposition_only_system(self):
+        sys = affine_system(np.array([[-1.0, 0.5], [0.25, -2.0]]), np.array([[1.0], [-0.5]]),
+                            np.array([[0.5, 0.0], [-0.25, 0.75]]))
+        emb = ClosedLoopEmbedding(sys, w_box=(np.array([-0.1, -0.2]), np.array([0.1, 0.3])))
+        rng = np.random.default_rng(6)
+        a, b, wlo, whi = rng.normal(size=(4, 20, 2))
+        ulo, uhi = rng.normal(size=(2, 20, 1))
+        self.assert_rows_match(emb, a, b, ulo, uhi, wlo, whi)
+
+
 class TestInclusionOfTrajectories:
     """Sampled closed-loop runs stay inside the integrated embedding."""
 

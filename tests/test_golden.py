@@ -5,15 +5,18 @@ exact, so any drift in ``tube.csv`` or in the summary (its per-interval
 leaf, depth, verification and split counters included) is a behaviour
 change.  A digest below
 may change only together with a CHANGES.md note that says which change moved
-it and why the new tube is right.
+it and why the new tube is right.  The contraction figures and the
+``bounds.json`` digest at the end follow the same rule.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from nncreach import cli, config, partition
+from nncreach import (ClosedLoopEmbedding, IntervalVector, MLPNetwork, affine_system, cli,
+                      config, contraction, partition)
 
 from conftest import CONFIGS
 
@@ -197,3 +200,80 @@ def grid_digests(tmp_path, plant, mode, depth_max, nn_depth_max, gamma, eps):
                          ids=lambda k: "{}-{}-d{}n{}-g{}-e{}".format(*k).replace('"', ""))
 def test_engine_grid_matches_golden_digests(tmp_path, key):
     assert grid_digests(tmp_path, *key) == GRID_SHA256[key]
+
+
+# Contraction diagnostics: float.hex of (c_x, c_x_open, l_u, l_w, lip_inf)
+# and the sample count of estimate_contraction.  The DI tube region takes the
+# grid branch, the 4-state vehicle region the Halton branch and the extension
+# path, and the affine loop (a decomposition-only system) is the one case
+# with a disturbance, so the only one where l_w is sampled.
+CONTRACTION_FIGURES = {
+    "di_adaptive_d6n2": (
+        "0x1.438cf78cabbe2p+1", "0x1.00000000ace8cp+1", "0x1.0000000153312p+0",
+        "0x0.0p+0", "0x1.0e33de2e48a3cp+0", 1350),
+    "vehicle_adaptive_d2n1-h0.5": (
+        "0x1.a405dc0aca70ep+2", "0x1.0727a70441130p+2", "0x1.000000007346dp+0",
+        "0x0.0p+0", "0x1.a405dc08e2656p+2", 576),
+    "affine_disturbed": (
+        "0x1.1a406b403d4c4p+0", "-0x1.fffffff84b9e8p-2", "0x1.00000000d84aap+0",
+        "0x1.0000000099b00p+0", "0x1.9a406b3da04d8p+0", 450),
+}
+
+# sha256 of the bounds.json that `nncreach bounds` writes
+GOLDEN_BOUNDS_SHA256 = {
+    "di_adaptive_d6n2": "06036669ec43254fbf0c580f04c903ca66ab68832e68501accb10c22aff47e60",
+}
+
+
+def tube_region_estimate(name, overrides=()):
+    """The estimate `nncreach bounds` makes on the tube of a shipped config."""
+    exp = config.build_experiment(config.ExperimentConfig.load(
+        CONFIGS / f"{name}.json", list(overrides)))
+    tube = partition.compute_reachable_set(exp.root_box, exp.params, exp.model)
+    region = contraction.region_from_tube(tube, stride=max(1, (len(tube.times) - 1) // 16))
+    domain = contraction.region_domain(region)
+    emb = exp.model.make_embedding()
+    emb.refresh_control(domain, reverify=False, inherited=exp.model.verify(domain),
+                        interval_index=0)
+    return contraction.estimate_contraction(emb, region)
+
+
+def disturbed_affine_estimate():
+    """A 2-state affine loop with a 2-dim disturbance, over two boxes."""
+    sys = affine_system(np.array([[-1.0, 0.5], [0.25, -2.0]]),
+                        np.array([[1.0], [-0.5]]),
+                        np.array([[0.5, 0.0], [-0.25, 0.75]]))
+    net = MLPNetwork([
+        (np.array([[0.8, -0.4], [-0.3, 0.9], [0.5, 0.6]]),
+         np.array([0.1, -0.2, 0.05]), "relu"),
+        (np.array([[0.7, -1.1, 0.4]]), np.array([0.3]), "identity"),
+    ])
+    domain = IntervalVector(np.array([-1.5, -0.5]), np.array([1.0, 2.0]))
+    emb = ClosedLoopEmbedding(sys, w_box=(np.array([-0.1, -0.2]), np.array([0.1, 0.3])))
+    emb.refresh_control(domain, reverify=True, net=net, interval_index=0)
+    inner = IntervalVector(np.array([-1.0, 0.0]), np.array([0.5, 1.5]))
+    return contraction.estimate_contraction(emb, [domain, inner])
+
+
+CONTRACTION_CASES = {
+    "di_adaptive_d6n2": lambda: tube_region_estimate("di_adaptive_d6n2"),
+    "vehicle_adaptive_d2n1-h0.5": lambda: tube_region_estimate(
+        "vehicle_adaptive_d2n1", ["horizon=0.5"]),
+    "affine_disturbed": disturbed_affine_estimate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_FIGURES))
+def test_contraction_estimate_matches_golden_figures(name):
+    est = CONTRACTION_CASES[name]()
+    figures = tuple(float(v).hex() for v in
+                    (est.c_x, est.c_x_open, est.l_u, est.l_w, est.lip_inf))
+    assert figures + (est.sample_count,) == CONTRACTION_FIGURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS_SHA256))
+def test_bounds_json_matches_golden_digest(tmp_path, name):
+    assert cli.main(["bounds", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "bounds.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_BOUNDS_SHA256[name]

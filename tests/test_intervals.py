@@ -113,6 +113,16 @@ class TestMatrixMeasure:
         with pytest.raises(ValueError):
             matrix_measure_inf(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_stacked_matches_per_matrix(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(2, 5, n, n)) * rng.choice([1e-6, 1.0, 1e6], size=(2, 5, n, n))
+        got = matrix_measure_inf(A)
+        assert got.shape == (2, 5)
+        want = np.array([[matrix_measure_inf(M) for M in row] for row in A])
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(matrix_measure_inf(A[0, 0]), float)
+
 
 class TestUniformDivide:
     def test_unit_square(self):
