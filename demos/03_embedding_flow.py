@@ -6,6 +6,11 @@ A system with a decomposition function lifts to dynamics on pairs
 trajectory that starts inside the initial box.  Shown first on a scalar
 toy with an exact answer, then on the 4-state vehicle.
 
+`ClosedLoopEmbedding` carries both fields: `open_field` evaluates the
+open-loop embedding under given input and disturbance intervals, and
+`field` (what `integrate` steps) uses the controller's output intervals
+frozen on the faces of the box at the last `refresh_control`.
+
 Run: python demos/03_embedding_flow.py
 """
 
@@ -15,14 +20,12 @@ import numpy as np
 
 from nncreach import (
     ClosedLoopEmbedding,
-    EmbeddingState,
     IntervalVector,
     LinearBounds,
     MLPNetwork,
     VehicleSystem,
     affine_system,
     make_inclusion,
-    open_embedding_field,
 )
 from pathlib import Path
 
@@ -34,15 +37,16 @@ def scalar_toy():
     print("Scalar toy: xdot = -x + u, u held in [-0.1, 0.1]")
     print("=" * 60)
     sys = affine_system(np.array([[-1.0]]), np.array([[1.0]]))
-    state = EmbeddingState(np.array([-1.0]), np.array([1.0]))
-    rate = open_embedding_field(sys, state, (np.array([-0.1]), np.array([0.1])))
-    print("embedding field at ([-1,1]):", rate, " (lower half rises, upper falls)")
+    emb = ClosedLoopEmbedding(sys)
+    rate = emb.open_field(np.array([-1.0]), np.array([1.0]),
+                          np.array([-0.1]), np.array([0.1]), emb.w_lo, emb.w_hi)
+    print("open-loop embedding field at ([-1,1]):", rate, " (lower half rises, upper falls)")
 
     domain = IntervalVector(np.array([-2.0]), np.array([2.0]))
     incl = make_inclusion(LinearBounds(
         C_lo=np.zeros((1, 1)), d_lo=np.array([-0.1]),
         C_hi=np.zeros((1, 1)), d_hi=np.array([0.1]), domain=domain))
-    emb = ClosedLoopEmbedding(sys)
+    # a constant controller band: the closed-loop field is the open-loop one
     emb.refresh_control(domain, reverify=False, inherited=incl, interval_index=0)
     traj = emb.integrate(np.array([-1.0]), np.array([1.0]), 0.01, 500)
     print("\n  t     lower     upper     exact envelope +/-(e^-t + 0.1(1-e^-t))")

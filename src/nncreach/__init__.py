@@ -10,10 +10,8 @@ partition depth.
 """
 
 from .intervals import (
-    EmbeddingState,
     IntervalVector,
     ToleranceVector,
-    face_replace,
     interval_hull,
     matrix_measure_inf,
     uniform_divide,
@@ -34,8 +32,6 @@ from .embedding import (
     EmbeddingOrderError,
     OpenLoopSystem,
     build_tight_decomposition,
-    closed_decomposition,
-    open_embedding_field,
 )
 from .partition import (
     AlgorithmParams,

@@ -45,6 +45,12 @@ def _need(data: dict, key: str, where: str):
     return data[key]
 
 
+def _as_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def _as_float(value, where: str) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity", "+inf"):
@@ -112,29 +118,29 @@ class ExperimentConfig:
             sysname, sysparams = sysdata, {}
         elif isinstance(sysdata, dict):
             sysname = _need(sysdata, "name", "config.system")
-            sysparams = sysdata.get("params", {})
-            if not isinstance(sysparams, dict):
-                raise ConfigError("config.system.params must be an object")
+            sysparams = _as_object(sysdata.get("params", {}), "config.system.params")
         else:
             raise ConfigError("config.system must be a name or an object")
 
         network = _need(data, "network", "config")
+        if not isinstance(network, str):
+            raise ConfigError(f"config.network must be a file path, got {network!r}")
         if base_dir is not None and not Path(network).is_absolute():
             network = str((base_dir / network).resolve())
 
-        init = _need(data, "initial_set", "config")
+        init = _as_object(_need(data, "initial_set", "config"), "config.initial_set")
         lo = _float_list(_need(init, "lo", "config.initial_set"), "config.initial_set.lo")
         hi = _float_list(_need(init, "hi", "config.initial_set"), "config.initial_set.hi")
         if len(lo) != len(hi):
             raise ConfigError("config.initial_set: lo and hi lengths differ")
 
-        dist = data.get("disturbance", {"lo": [], "hi": []})
+        dist = _as_object(data.get("disturbance", {}), "config.disturbance")
         dlo = _float_list(dist.get("lo", []), "config.disturbance.lo")
         dhi = _float_list(dist.get("hi", []), "config.disturbance.hi")
         if len(dlo) != len(dhi):
             raise ConfigError("config.disturbance: lo and hi lengths differ")
 
-        control = data.get("control", {})
+        control = _as_object(data.get("control", {}), "config.control")
         period = control.get("period")
         instants = control.get("instants")
         if period is not None:
@@ -147,7 +153,7 @@ class ExperimentConfig:
         dt = _as_finite(_need(data, "dt", "config"), "config.dt")
         horizon = _as_finite(_need(data, "horizon", "config"), "config.horizon")
 
-        alg = _need(data, "algorithm", "config")
+        alg = _as_object(_need(data, "algorithm", "config"), "config.algorithm")
         eps_raw = _need(alg, "eps", "config.algorithm")
         if isinstance(eps_raw, list):
             eps = _float_list(eps_raw, "config.algorithm.eps")

@@ -18,18 +18,24 @@ frozen while the embedding is integrated across the control interval.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows`` and read back by
-``_face_field``; ``_extension_face_field`` is the open-loop field from one
-extension call on those rows, and ``ClosedLoopEmbedding._face_d`` is the
-per-face loop for systems with only a decomposition ``d``.  Only the reference
-:func:`build_tight_decomposition` lays out faces on its own.
+``_face_field``.  Every field of a system with an interval extension goes
+through ``_extension_face_field``, one extension call on those rows: the
+open-loop field :meth:`ClosedLoopEmbedding.open_field` repeats its input
+and disturbance pairs on each face block, and the closed-loop
+:meth:`ClosedLoopEmbedding.field` passes the per-face control intervals
+frozen at the control instant.  ``ClosedLoopEmbedding._face_d`` is the
+per-face loop for systems with only a decomposition ``d``.  Only the
+reference :func:`build_tight_decomposition` lays out faces on its own.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bounds import InclusionFunction, crown_bounds, make_inclusion
-from .intervals import EmbeddingState, IntervalVector, _matvec
+from .intervals import IntervalVector, _matvec
 
 __all__ = [
     "OpenLoopSystem",
@@ -37,8 +43,6 @@ __all__ = [
     "DiscreteLTIEmbedding",
     "EmbeddingOrderError",
     "build_tight_decomposition",
-    "open_embedding_field",
-    "closed_decomposition",
 ]
 
 _EXTENSION_TOL = 1e-9
@@ -72,7 +76,8 @@ def build_tight_decomposition(extension):
     (all arguments shaped ``(m, dim)``) and must return componentwise
     enclosures ``(Flo, Fhi)`` of ``f`` over each row's box, exact on
     degenerate boxes and isotone under box inclusion.  Extensions must not
-    modify their argument arrays (callers reuse buffers).
+    modify their argument arrays (the engine reuses its per-interval input
+    and disturbance rows across calls).
 
     The returned ``d(x, xh, u, uh, w, wh)`` pins coordinate ``i`` of the
     state span at ``x_i`` and takes the lower (forward argument order) or
@@ -161,19 +166,17 @@ def _require_pair(pair, dim, what):
     return lo, hi
 
 
-def _face_rows(span_lo, span_hi, a, b, out=None):
+def _face_rows(span_lo, span_hi, a, b):
     """The ``2n`` faces of a span as row-stacked boxes ``(Xlo, Xhi)``.
 
     Row ``i`` is the span with coordinate ``i`` pinned at ``a_i``, row
     ``n + i`` the span with it pinned at ``b_i``.  The pins may carry
     leading axes, ``(..., n)``, giving ``(..., 2n, n)`` face blocks; the
     spans broadcast against those blocks, so a stack of spans is passed as
-    ``(..., 1, n)``.  ``out`` is an optional pair of contiguous buffers to
-    fill instead of allocating.
+    ``(..., 1, n)``.
     """
     lead, n = a.shape[:-1], a.shape[-1]
-    if out is None:
-        out = (np.empty(lead + (2 * n, n)), np.empty(lead + (2 * n, n)))
+    out = (np.empty(lead + (2 * n, n)), np.empty(lead + (2 * n, n)))
     for X, span in zip(out, (span_lo, span_hi)):
         X[...] = span
         flat = X.reshape(lead + (-1,))  # a view, so the diagonals are pinned in place
@@ -193,47 +196,20 @@ def _face_field(flo, fhi) -> np.ndarray:
 
 
 def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
-                          ulo, uhi, wlo, whi) -> np.ndarray:
-    """Open-loop embedding field from one extension call on the faces.
+                          u_rows, w_rows) -> np.ndarray:
+    """Embedding field from one extension call on the faces.
 
     The faces are :func:`_face_rows` of the state span pinned at ``a`` and
-    ``b``; input and disturbance pairs may be unordered, as in ``sys.d``.
-    With ``(m, ·)`` row stacks every argument carries the leading axis
-    (spans as ``(m, 1, n)``), and the ``m`` face blocks go to the
+    ``b``; ``u_rows`` and ``w_rows`` are ordered ``(lo, hi)`` pairs of
+    input and disturbance rows, one row per face row.  With ``(m, ·)`` pin
+    stacks (spans as ``(m, 1, n)``) the ``m`` face blocks go to the
     extension as one ``(m * 2n, n)`` call.
     """
     Xlo, Xhi = _face_rows(span_lo, span_hi, a, b)
-    n = sys.n
-    rows = Xlo.size // n
-
-    def per_face(v):  # each pair repeated on the 2n face rows of its block
-        return np.broadcast_to(v[..., None, :], (*Xlo.shape[:-1], v.shape[-1])
-                               ).reshape(rows, v.shape[-1])
-
-    flo, fhi = sys.extension(Xlo.reshape(rows, n), Xhi.reshape(rows, n),
-                             per_face(np.minimum(ulo, uhi)), per_face(np.maximum(ulo, uhi)),
-                             per_face(np.minimum(wlo, whi)), per_face(np.maximum(wlo, whi)))
+    rows = u_rows[0].shape[0]
+    flo, fhi = sys.extension(Xlo.reshape(rows, sys.n), Xhi.reshape(rows, sys.n),
+                             *u_rows, *w_rows)
     return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
-
-
-def open_embedding_field(sys: OpenLoopSystem, state: EmbeddingState, u_pair, w_pair=None) -> np.ndarray:
-    """Open-loop embedding field ``(d(lo,hi,u,uh,w,wh), d(hi,lo,uh,u,wh,w))``.
-
-    With an interval extension an ordered state is evaluated on its faces
-    in one call; a reversed state goes through the decomposition ``d``.
-    """
-    if state.n != sys.n:
-        raise ValueError(f"state has dimension {state.n}, system expects {sys.n}")
-    ulo, uhi = _require_pair(u_pair, sys.p, "input")
-    if w_pair is None:
-        wlo = whi = np.zeros(sys.q)
-    else:
-        wlo, whi = _require_pair(w_pair, sys.q, "disturbance")
-    lo, hi = state.lo, state.hi
-    if sys.extension is not None and np.all(lo <= hi):
-        return _extension_face_field(sys, lo, hi, lo, hi, ulo, uhi, wlo, whi)
-    return np.concatenate([sys.d(lo, hi, ulo, uhi, wlo, whi),
-                           sys.d(hi, lo, uhi, ulo, whi, wlo)])
 
 
 class _FrozenControlEmbedding:
@@ -299,10 +275,10 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         self.interval_index: int | None = None
         self.eta_lo = self.eta_hi = None  # (n, p) lower-face output bounds
         self.nu_lo = self.nu_hi = None    # (n, p) upper-face output bounds
-        # per-interval constants and scratch buffers for the fast field path
+        # per-interval face rows of the input and disturbance, passed to every
+        # extension call of the interval (so extensions must not write into them)
         self._u_spans = None
         self._w_rows = None
-        self._x_scratch = None
 
     def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
                         inherited: InclusionFunction | None = None,
@@ -326,26 +302,14 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
             )
             self._w_rows = (np.tile(self.w_lo, (2 * n, 1)),
                             np.tile(self.w_hi, (2 * n, 1)))
-            self._x_scratch = (np.empty((2 * n, n)), np.empty((2 * n, n)))
         self.interval_index = interval_index
-
-    def _require_caches(self, interval_index=None):
-        if self.eta_lo is None:
-            raise RuntimeError("control caches not initialized; call refresh_control")
-        if interval_index is not None and interval_index != self.interval_index:
-            raise RuntimeError(
-                f"control caches are stale (built for interval {self.interval_index}, "
-                f"asked for {interval_index})"
-            )
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
-        self._require_caches()
+        if self.eta_lo is None:
+            raise RuntimeError("control caches not initialized; call refresh_control")
         if self.sys.extension is not None:
-            # face spans change per step but the input/disturbance rows are
-            # per-interval constants; extensions must not mutate arguments
-            rows = _face_rows(lo, hi, lo, hi, out=self._x_scratch)
-            return _face_field(*self.sys.extension(*rows, *self._u_spans, *self._w_rows))
+            return _extension_face_field(self.sys, lo, hi, lo, hi, self._u_spans, self._w_rows)
         return np.concatenate([self._face_d(lo, hi, upper=False),
                                self._face_d(hi, lo, upper=True)])
 
@@ -365,13 +329,13 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         np.add(cur, dt * self.field(cur[0], cur[1]).reshape(2, self.n), out=out)
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
-        """Open-loop embedding field, tolerant of slightly crossed pairs.
+        """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.
 
-        Finite differencing perturbs one endpoint at a time, which can cross
-        a degenerate axis; spans are therefore formed with componentwise
-        min/max while the face pins keep the true endpoint values.  (On
-        crossed pairs :func:`open_embedding_field` instead falls back to the
-        decomposition ``d``, so the two are not interchangeable.)
+        Tolerant of slightly crossed pairs: finite differencing perturbs one
+        endpoint at a time, which can cross a degenerate axis, so spans are
+        formed with componentwise min/max while the face pins keep the true
+        endpoint values.  Input and disturbance pairs may be unordered, as
+        in ``sys.d``.
 
         The arguments are single vectors or ``(m, ·)`` row stacks, all six
         alike; a stack gives the ``(m, 2n)`` fields of its rows, with one
@@ -380,27 +344,21 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         """
         sys = self.sys
         if sys.extension is not None:
+            block = a.shape[:-1] + (2 * self.n,)
+            rows = math.prod(block)  # explicit: reshape(-1, 0) fails when q = 0
+
+            def per_face(v, vh):  # the ordered pair repeated on the 2n rows of its block
+                return tuple(np.broadcast_to(e[..., None, :], block + e.shape[-1:])
+                             .reshape(rows, e.shape[-1])
+                             for e in (np.minimum(v, vh), np.maximum(v, vh)))
+
             return _extension_face_field(sys, np.minimum(a, b)[..., None, :],
                                          np.maximum(a, b)[..., None, :], a, b,
-                                         ulo, uhi, wlo, whi)
+                                         per_face(ulo, uhi), per_face(wlo, whi))
         if np.ndim(a) == 2:
             return np.array([self.open_field(*row) for row in zip(a, b, ulo, uhi, wlo, whi)])
         return np.concatenate([sys.d(a, b, ulo, uhi, wlo, whi),
                                sys.d(b, a, uhi, ulo, whi, wlo)])
-
-
-def closed_decomposition(emb: ClosedLoopEmbedding, state: EmbeddingState,
-                         interval_index=None) -> np.ndarray:
-    """One half of the closed-loop embedding field (reference path).
-
-    For an ordered state the lower-face ``eta`` intervals are used; for a
-    reversed state the upper-face ``nu`` intervals enter with swapped
-    arguments, mirroring the two branches of the hybrid decomposition.
-    """
-    emb._require_caches(interval_index)
-    if state.n != emb.n:
-        raise ValueError(f"state has dimension {state.n}, system expects {emb.n}")
-    return emb._face_d(state.lo, state.hi, upper=not state.ordered)
 
 
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):

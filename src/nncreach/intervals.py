@@ -15,12 +15,10 @@ import numpy as np
 
 __all__ = [
     "IntervalVector",
-    "EmbeddingState",
     "ToleranceVector",
     "weighted_inf_norm",
     "matrix_measure_inf",
     "uniform_divide",
-    "face_replace",
     "interval_hull",
     "interval_mul",
     "interval_cos",
@@ -70,10 +68,6 @@ class IntervalVector:
     def center(self) -> np.ndarray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
-    def contains_point(self, x, slack: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
-
     def contains_box(self, other: "IntervalVector", slack: float = 0.0) -> bool:
         return bool(
             np.all(other.lo >= self.lo - slack) and np.all(other.hi <= self.hi + slack)
@@ -86,43 +80,6 @@ class IntervalVector:
     def __repr__(self):
         parts = ", ".join(f"[{a:g},{b:g}]" for a, b in zip(self.lo, self.hi))
         return f"IntervalVector({parts})"
-
-
-@dataclass(frozen=True)
-class EmbeddingState:
-    """A point ``(lo, hi)`` of the doubled state space.
-
-    Unlike :class:`IntervalVector`, the two halves may come in either order
-    (``lo <= hi`` or ``hi <= lo``); embedding dynamics are evaluated on both.
-    Mixed orderings are rejected.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = _as_vector(self.lo, "lo")
-        hi = _as_vector(self.hi, "hi")
-        if lo.shape != hi.shape:
-            raise ValueError("lo and hi must have the same length")
-        if not (np.all(lo <= hi) or np.all(hi <= lo)):
-            raise ValueError("embedding state has mixed component ordering")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def from_box(cls, box: IntervalVector) -> "EmbeddingState":
-        return cls(box.lo.copy(), box.hi.copy())
-
-    @property
-    def n(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def ordered(self) -> bool:
-        return bool(np.all(self.lo <= self.hi))
 
 
 @dataclass(frozen=True)
@@ -219,19 +176,6 @@ def uniform_divide(box: IntervalVector) -> list[IntervalVector]:
             else:
                 chi[i] = mid[i]
         out.append(IntervalVector(clo, chi))
-    return out
-
-
-def face_replace(x, xhat, i: int) -> np.ndarray:
-    """Copy of ``x`` with component ``i`` replaced by ``xhat_i``."""
-    x = _as_vector(x, "x")
-    xhat = _as_vector(xhat, "xhat")
-    if x.shape != xhat.shape:
-        raise ValueError("x and xhat must have the same length")
-    if not 0 <= i < x.shape[0]:
-        raise IndexError(f"component index {i} out of range for length {x.shape[0]}")
-    out = x.copy()
-    out[i] = xhat[i]
     return out
 
 

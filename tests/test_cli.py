@@ -225,6 +225,11 @@ class TestCommandLine:
         (["--set", "dt=inf"], "config.dt"),
         (["--set", "control.period=inf"], "config.control.period"),
         (["--set", 'control.instants=[0, 1, "inf"]'], "config.control.instants[2]"),
+        (["--set", "initial_set=5"], "config.initial_set"),
+        (["--set", "disturbance=5"], "config.disturbance"),
+        (["--set", "control=5"], "config.control"),
+        (["--set", "algorithm=5"], "config.algorithm"),
+        (["--set", "network=5"], "config.network"),
     ])
     def test_bad_values_exit_as_config_errors(self, tmp_path, capsys, plant, args, where):
         if plant == "vehicle":

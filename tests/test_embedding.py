@@ -9,7 +9,6 @@ from nncreach import (
     DiscreteLTIEmbedding,
     DomainError,
     EmbeddingOrderError,
-    EmbeddingState,
     IntervalVector,
     LinearBounds,
     MLPNetwork,
@@ -17,9 +16,7 @@ from nncreach import (
     VehicleSystem,
     affine_system,
     build_tight_decomposition,
-    closed_decomposition,
     make_inclusion,
-    open_embedding_field,
 )
 
 from conftest import zero_network
@@ -28,6 +25,12 @@ from conftest import zero_network
 def scalar_leak():
     """xdot = -x + u."""
     return affine_system(np.array([[-1.0]]), np.array([[1.0]]), name="leak")
+
+
+def open_field(sys, lo, hi, u_pair, w_pair=None):
+    """Open-loop field of ``sys`` at ``(lo, hi)``, disturbance 0 unless given."""
+    emb = ClosedLoopEmbedding(sys, w_pair)
+    return emb.open_field(lo, hi, *u_pair, emb.w_lo, emb.w_hi)
 
 
 def exact_linear_inclusion(K, domain, offset=0.0):
@@ -40,8 +43,8 @@ def exact_linear_inclusion(K, domain, offset=0.0):
 
 class TestOpenEmbeddingField:
     def test_scalar_leak_example(self):
-        state = EmbeddingState(np.array([-1.0]), np.array([1.0]))
-        out = open_embedding_field(scalar_leak(), state, (np.array([-0.1]), np.array([0.1])))
+        out = open_field(scalar_leak(), np.array([-1.0]), np.array([1.0]),
+                         (np.array([-0.1]), np.array([0.1])))
         assert np.allclose(out, [0.9, -0.9])
 
     def test_degenerate_arguments_reproduce_field(self):
@@ -53,8 +56,7 @@ class TestOpenEmbeddingField:
             x = rng.normal(size=2)
             u = rng.normal(size=1)
             w = rng.normal(size=1)
-            state = EmbeddingState(x, x)
-            out = open_embedding_field(sys, state, (u, u), (w, w))
+            out = open_field(sys, x, x, (u, u), (w, w))
             f = sys.f(x, u, w)
             assert np.allclose(out[:2], f, atol=1e-9)
             assert np.allclose(out[2:], f, atol=1e-9)
@@ -64,8 +66,7 @@ class TestOpenEmbeddingField:
         sys = veh.open_loop()
         x = np.array([8.0, 8.0, -2 * math.pi / 3, 2.0])
         u = np.zeros(2)
-        state = EmbeddingState(x, x)
-        out = open_embedding_field(sys, state, (u, u))
+        out = open_field(sys, x, x, (u, u))
         want = np.array([-1.0, -math.sqrt(3.0), 0.0, 0.0])
         assert np.allclose(out[:4], want, atol=1e-12)
         assert np.allclose(out[4:], want, atol=1e-12)
@@ -79,7 +80,7 @@ class TestOpenEmbeddingField:
             hi = lo + rng.uniform(0, 0.4, 4)
             ulo = rng.uniform(-1.0, 0.0, 2) * [3.0, 0.3]
             uhi = ulo + rng.uniform(0, 0.5, 2)
-            fast = open_embedding_field(sys, EmbeddingState(lo, hi), (ulo, uhi))
+            fast = open_field(sys, lo, hi, (ulo, uhi))
             slow = np.concatenate([
                 sys.d(lo, hi, ulo, uhi, np.zeros(0), np.zeros(0)),
                 sys.d(hi, lo, uhi, ulo, np.zeros(0), np.zeros(0)),
@@ -93,7 +94,7 @@ class TestOpenEmbeddingField:
         hi = lo + 0.3
         u, uh = np.array([0.5, 0.3]), np.array([-1.0, -0.2])
         w = np.zeros(0)
-        out = open_embedding_field(sys, EmbeddingState(lo, hi), (u, uh))
+        out = open_field(sys, lo, hi, (u, uh))
         want = np.concatenate([sys.d(lo, hi, u, uh, w, w), sys.d(hi, lo, uh, u, w, w)])
         assert np.array_equal(out, want)
         assert np.array_equal(out[[3, 7]], [-1.0, 0.5])
@@ -126,7 +127,7 @@ def test_constant_band_closed_field_equals_open_field(sys, box, band, w_pair):
     emb = ClosedLoopEmbedding(sys, w_pair)
     emb.refresh_control(box, reverify=False, inherited=incl, interval_index=0)
     closed = emb.field(box.lo, box.hi)
-    open_ = open_embedding_field(sys, EmbeddingState(box.lo, box.hi), (d_lo, d_hi), w_pair)
+    open_ = emb.open_field(box.lo, box.hi, d_lo, d_hi, emb.w_lo, emb.w_hi)
     assert np.array_equal(closed, open_)
 
 
@@ -285,7 +286,7 @@ class TestClosedLoopEmbedding:
         incl = exact_linear_inclusion(np.array([[2.0]]), box)
         emb = ClosedLoopEmbedding(sys)
         emb.refresh_control(box, reverify=False, inherited=incl, interval_index=0)
-        out = closed_decomposition(emb, EmbeddingState(z, z))
+        out = emb._face_d(z, z, upper=False)
         # f(x, N(x)) with N(x) = 2x
         assert out[0] == pytest.approx(-0.7 + 2 * 0.7, abs=1e-12)
 
@@ -319,8 +320,8 @@ class TestClosedLoopEmbedding:
                             interval_index=0)
         lo, hi = vehicle_box.lo, vehicle_box.hi
         fast = emb.field(lo, hi)
-        ref_lower = closed_decomposition(emb, EmbeddingState(lo, hi))
-        ref_upper = closed_decomposition(emb, EmbeddingState(hi, lo))
+        ref_lower = emb._face_d(lo, hi, upper=False)
+        ref_upper = emb._face_d(hi, lo, upper=True)
         assert np.allclose(fast, np.concatenate([ref_lower, ref_upper]), atol=1e-12)
 
     def test_integration_preserves_order(self, vehicle_net, vehicle_box):
@@ -371,17 +372,15 @@ class TestClosedLoopEmbedding:
             emb.refresh_control(IntervalVector(np.zeros(1), np.ones(1)),
                                 reverify=False)
 
-    def test_stale_cache_detection(self):
-        sys = scalar_leak()
-        box = IntervalVector(np.array([0.0]), np.array([1.0]))
-        emb = ClosedLoopEmbedding(sys)
-        emb.refresh_control(box, reverify=False,
-                            inherited=exact_linear_inclusion(np.array([[1.0]]), box),
-                            interval_index=1)
-        state = EmbeddingState(np.array([0.2]), np.array([0.8]))
-        closed_decomposition(emb, state, interval_index=1)
-        with pytest.raises(RuntimeError, match="stale"):
-            closed_decomposition(emb, state, interval_index=2)
+    def test_field_before_refresh_errors(self):
+        box = IntervalVector(np.array([7.0, 7.2, -2.4, 1.5]), np.array([7.4, 7.5, -2.1, 2.0]))
+        for sys in (scalar_leak(), VehicleSystem().open_loop()):  # d-only and extension
+            emb = ClosedLoopEmbedding(sys)
+            lo, hi = box.lo[:sys.n], box.hi[:sys.n]
+            with pytest.raises(RuntimeError, match="not initialized"):
+                emb.field(lo, hi)
+            with pytest.raises(RuntimeError, match="not initialized"):
+                emb.integrate(lo, hi, 0.01, 3)
 
 
 class TestDiscreteLTIEmbedding:
@@ -419,6 +418,13 @@ class TestDiscreteLTIEmbedding:
         lo, hi = emb.step(di_box.lo, di_box.hi)
         assert np.allclose(lo, [2.25, -0.25])
         assert np.allclose(hi, [3.25, 0.25])
+
+    def test_step_before_refresh_errors(self):
+        emb = DiscreteLTIEmbedding(self.A, self.B)
+        with pytest.raises(RuntimeError, match="not initialized"):
+            emb.step(np.zeros(2), np.ones(2))
+        with pytest.raises(RuntimeError, match="not initialized"):
+            emb.integrate(np.zeros(2), np.ones(2), 1.0, 2)
 
     def test_unordered_state_rejected(self):
         emb = DiscreteLTIEmbedding(self.A, self.B)

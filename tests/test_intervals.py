@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from nncreach.intervals import (
-    EmbeddingState,
     IntervalVector,
     ToleranceVector,
-    face_replace,
     interval_cos,
     interval_hull,
     interval_mul,
@@ -38,16 +36,6 @@ class TestIntervalVector:
         box = IntervalVector(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
             box.lo[0] = 5.0
-
-
-class TestEmbeddingState:
-    def test_both_orderings_allowed(self):
-        EmbeddingState(np.zeros(2), np.ones(2))
-        EmbeddingState(np.ones(2), np.zeros(2))
-
-    def test_mixed_ordering_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            EmbeddingState(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 class TestToleranceVector:
@@ -163,28 +151,6 @@ class TestUniformDivide:
         kids = uniform_divide(box)
         assert len(kids) == 4
         assert all(k.width[1] == 0.0 for k in kids)
-
-
-class TestFaceReplace:
-    def test_basic(self):
-        assert np.array_equal(face_replace([1.0, 2.0], [9.0, 9.0], 0), [9.0, 2.0])
-
-    def test_identity_case(self):
-        assert np.array_equal(face_replace([1.0, 2.0], [1.0, 2.0], 1), [1.0, 2.0])
-
-    def test_last_component(self):
-        assert np.array_equal(
-            face_replace([0.0, 0.0, 0.0], [5.0, 6.0, 7.0], 2), [0.0, 0.0, 7.0])
-
-    def test_self_replace_noop(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=4)
-        for i in range(4):
-            assert np.array_equal(face_replace(x, x, i), x)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            face_replace([1.0], [2.0], 1)
 
 
 class TestIntervalHull:
