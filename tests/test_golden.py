@@ -238,8 +238,11 @@ def tube_region_estimate(name, overrides=()):
     return contraction.estimate_contraction(emb, region)
 
 
-def disturbed_affine_estimate():
-    """A 2-state affine loop with a 2-dim disturbance, over two boxes."""
+AFFINE_W_BOX = (np.array([-0.1, -0.2]), np.array([0.1, 0.3]))
+
+
+def disturbed_affine_loop():
+    """A 2-state affine plant with a 2-dim disturbance and its ReLU controller."""
     sys = affine_system(np.array([[-1.0, 0.5], [0.25, -2.0]]),
                         np.array([[1.0], [-0.5]]),
                         np.array([[0.5, 0.0], [-0.25, 0.75]]))
@@ -248,8 +251,14 @@ def disturbed_affine_estimate():
          np.array([0.1, -0.2, 0.05]), "relu"),
         (np.array([[0.7, -1.1, 0.4]]), np.array([0.3]), "identity"),
     ])
+    return sys, net
+
+
+def disturbed_affine_estimate():
+    """The affine loop's estimate over two boxes."""
+    sys, net = disturbed_affine_loop()
     domain = IntervalVector(np.array([-1.5, -0.5]), np.array([1.0, 2.0]))
-    emb = ClosedLoopEmbedding(sys, w_box=(np.array([-0.1, -0.2]), np.array([0.1, 0.3])))
+    emb = ClosedLoopEmbedding(sys, w_box=AFFINE_W_BOX)
     emb.refresh_control(domain, reverify=True, net=net, interval_index=0)
     inner = IntervalVector(np.array([-1.0, 0.0]), np.array([0.5, 1.5]))
     return contraction.estimate_contraction(emb, [domain, inner])
@@ -277,3 +286,53 @@ def test_bounds_json_matches_golden_digest(tmp_path, name):
                      "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "bounds.json").read_bytes()).hexdigest()
     assert digest == GOLDEN_BOUNDS_SHA256[name]
+
+
+# Decomposition-only engine path: (disturbed, mode, depth_max, nn_depth_max,
+# gamma, eps) -> (tube.csv sha256, sha256 of json.dumps(interval_stats)) of
+# the affine loop above over 1 s (four control intervals of five Euler
+# steps), with and without its disturbance.  The adaptive runs split over
+# several intervals or, with eps 0 on one axis, down to the depth budget in
+# the first one.  A digest here may change only under the rule in the
+# module docstring.
+AFFINE_LOOP_SHA256 = {
+    (True, "adaptive", 3, 1, 0.2, (0.6, 0.6)): (
+        "78c061bc8400db2a71f379eaeb29a46c7baa86007293646974085abab5b5ca8a",
+        "e785217c49ac0245eaa63447697ad930ce606ab704e878b9295d18f08e9d6f05"),
+    (True, "uniform", 2, 1, 1.0, (np.inf, np.inf)): (
+        "3e5b8baab78b52cb1235052ffc4903824d6ade9dbe28c3fbdcabce3d00e80ac5",
+        "7e09d413e890be2068188413d8f6392efac2f740cdbea2ba43b4b6da5ab5a8b6"),
+    (True, "adaptive", 2, 2, 0.5, (0.0, np.inf)): (
+        "90e525964560b7543904499f1efcdf920c5ea5a7d1a9947e66248ba6ecd5b100",
+        "aa909e5f57ff0c52905dba42d6f5b07fbfba051246108148673db389cf70768e"),
+    (False, "adaptive", 3, 1, 0.2, (0.6, 0.6)): (
+        "00137c7cb3374d162ff3bd52dfddda7af8bfc049873c6aae75336c089defbccb",
+        "8cb4665e24e85eabf471a6ddf56c854c2641787a2e7feea3e2d303d27b726b4a"),
+    (False, "uniform", 2, 1, 1.0, (np.inf, np.inf)): (
+        "d8ca64fa9eb8f36278013c4231562422f7019ffc56afe689d07f5e635835f8b2",
+        "7e09d413e890be2068188413d8f6392efac2f740cdbea2ba43b4b6da5ab5a8b6"),
+    (False, "adaptive", 2, 2, 0.5, (0.0, np.inf)): (
+        "049cb65e49639cc3cf123bca888287cce2addff6eb21dad4ad3f06305b983958",
+        "aa909e5f57ff0c52905dba42d6f5b07fbfba051246108148673db389cf70768e"),
+}
+
+
+def affine_loop_digests(tmp_path, disturbed, mode, depth_max, nn_depth_max, gamma, eps):
+    sys, net = disturbed_affine_loop()
+    model = partition.ContinuousClosedLoopModel(
+        sys, net, horizon=1.0, dt=0.05, control_period=0.25,
+        w_box=AFFINE_W_BOX if disturbed else None)
+    params = partition.AlgorithmParams(eps=list(eps), gamma=gamma, depth_max=depth_max,
+                                       nn_depth_max=nn_depth_max, mode=mode)
+    root = IntervalVector(np.array([-1.0, 0.0]), np.array([0.5, 1.5]))
+    tube = partition.compute_reachable_set(root, params, model)
+    tube.write_csv(tmp_path / "tube.csv")
+    return (hashlib.sha256((tmp_path / "tube.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(tube.interval_stats).encode()).hexdigest())
+
+
+@pytest.mark.parametrize("key", sorted(AFFINE_LOOP_SHA256, key=repr),
+                         ids=lambda k: "{}-{}-d{}n{}-g{}-e{}".format(
+                             "w" if k[0] else "now", *k[1:5], "_".join(map(str, k[5]))))
+def test_decomposition_only_loop_matches_golden_digests(tmp_path, key):
+    assert affine_loop_digests(tmp_path, *key) == AFFINE_LOOP_SHA256[key]
