@@ -71,8 +71,11 @@ def vehicle():
     emb.refresh_control(box, reverify=True, net=net, interval_index=0)
     print("per-face controller output ranges frozen at the control instant:")
     for i, name in enumerate(["p_x", "p_y", "phi", "v"]):
-        print(f"  lower {name}-face: force [{emb.eta_lo[i,0]:+.3f}, {emb.eta_hi[i,0]:+.3f}]"
-              f"  wheel [{emb.eta_lo[i,1]:+.3f}, {emb.eta_hi[i,1]:+.3f}]")
+        face_hi = box.hi.copy()
+        face_hi[i] = box.lo[i]  # the lower face pins coordinate i at its lower end
+        u_lo, u_hi = emb.incl(box.lo, face_hi)
+        print(f"  lower {name}-face: force [{u_lo[0]:+.3f}, {u_hi[0]:+.3f}]"
+              f"  wheel [{u_lo[1]:+.3f}, {u_hi[1]:+.3f}]")
     traj = emb.integrate(box.lo, box.hi, 0.01, 25)
     print("\nwidths along the interval (ordering is preserved step by step):")
     for k in (0, 5, 15, 25):

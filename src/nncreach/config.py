@@ -216,6 +216,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if overrides:
             data = apply_overrides(data, overrides)
         return cls.from_dict(data, base_dir=path.parent)
@@ -290,7 +292,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         check_relaxable(net)
     except FileNotFoundError:
         raise ConfigError(f"network file not found: {cfg.network}") from None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"network file {cfg.network}: {exc}") from None
 
     try:

@@ -6,9 +6,11 @@ single trajectory of the embedding then bounds every trajectory of the
 original system that starts inside the initial box.
 
 Systems can supply either a closed-form decomposition or a batched
-interval extension of ``f``; in the latter case the tight decomposition is
-synthesized by pinning one coordinate at a time and taking the matching
-end of the enclosure.
+interval extension of ``f``.  Given only an extension, the tight
+decomposition is synthesized by pinning one coordinate at a time and
+taking the matching end of the enclosure; given only a decomposition, it
+is wrapped once as an extension that is read on face rows, where the
+pinned component is the decomposition's bound for that face.
 
 The closed loop with a sampled neural-network controller is handled by
 :class:`ClosedLoopEmbedding`: at every control instant the network is
@@ -18,14 +20,13 @@ frozen while the embedding is integrated across the control interval.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows`` and read back by
-``_face_field``.  Every field of a system with an interval extension goes
-through ``_extension_face_field``, one extension call on those rows: the
+``_face_field``.  Every field goes through ``_extension_face_field``, one
+extension call on those rows, whichever of the two a plant supplies: the
 open-loop field :meth:`ClosedLoopEmbedding.open_field` repeats its input
 and disturbance pairs on each face block, and the closed-loop
 :meth:`ClosedLoopEmbedding.field` passes the per-face control intervals
-frozen at the control instant.  ``ClosedLoopEmbedding._face_d`` is the
-per-face loop for systems with only a decomposition ``d``.  Only the
-reference :func:`build_tight_decomposition` lays out faces on its own.
+frozen at the control instant.  Only the reference
+:func:`build_tight_decomposition` lays out faces on its own.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _EXTENSION_TOL = 1e-9
+_ORDER_TOL = 1e-9
 
 
 class EmbeddingOrderError(RuntimeError):
@@ -122,12 +124,18 @@ class OpenLoopSystem:
         Vector field ``f(x, u, w) -> xdot``; must accept batches with
         leading dimension ``m``.
     d:
-        Optional closed-form decomposition ``d(x, xh, u, uh, w, wh)``.
+        Optional closed-form decomposition ``d(x, xh, u, uh, w, wh)``.  It
+        must accept ``(m, ·)`` row stacks, as ``f`` does, as well as single
+        vectors.
     extension:
         Optional batched interval enclosure of ``f`` (see
         :func:`build_tight_decomposition`).  At least one of ``d`` and
-        ``extension`` is required; with only ``extension`` the tight
-        decomposition is synthesized.
+        ``extension`` is required.  With only ``extension`` the tight
+        decomposition is synthesized; with only ``d``, ``self.extension``
+        is ``d`` in forward (lower ends) and reversed (upper ends) argument
+        order, which bounds only component ``i`` of a row that pins
+        coordinate ``i``, the one component the face kernel reads.  The
+        embedding evaluates every plant through ``self.extension``.
     """
 
     def __init__(self, n, p, q, f, d=None, extension=None, name=""):
@@ -137,8 +145,11 @@ class OpenLoopSystem:
         self.p = int(p)
         self.q = int(q)
         self.f = f
-        self.extension = extension
         self.d = d if d is not None else build_tight_decomposition(extension)
+        if extension is None:
+            def extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+                return d(Xlo, Xhi, Ulo, Uhi, Wlo, Whi), d(Xhi, Xlo, Uhi, Ulo, Whi, Wlo)
+        self.extension = extension
         self.name = name
 
     def __repr__(self):
@@ -233,7 +244,7 @@ class _FrozenControlEmbedding:
         incl.check_domain(box.lo, box.hi)
         return incl
 
-    def integrate(self, lo, hi, dt: float, steps: int, order_tol: float = 1e-9) -> np.ndarray:
+    def integrate(self, lo, hi, dt: float, steps: int) -> np.ndarray:
         """Integrate the embedding ``steps`` steps; returns ``(steps+1, 2, n)``.
 
         Raises :class:`EmbeddingOrderError` at the first step whose state
@@ -246,7 +257,7 @@ class _FrozenControlEmbedding:
             nxt = traj[k + 1]
             self._step_into(traj[k], nxt, dt)
             # written so that a NaN width fails the check too
-            if not (nxt[1] - nxt[0] >= -order_tol).all():
+            if not (nxt[1] - nxt[0] >= -_ORDER_TOL).all():
                 raise EmbeddingOrderError(
                     f"embedding state lost ordering at step {k + 1}"
                 )
@@ -257,8 +268,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
     """Embedding dynamics of the sampled-data neural-network loop.
 
     Holds the network inclusion function frozen over one control interval
-    together with the per-face output intervals (``eta`` for the lower
-    faces, ``nu`` for the upper faces) that feed the hybrid closed-loop
+    together with the per-face output intervals (the lower faces' rows
+    first, then the upper faces') that feed the hybrid closed-loop
     decomposition.  Caches are rebuilt by :meth:`refresh_control` whenever
     a new control instant begins or the owning partition re-verifies.
     """
@@ -272,9 +283,6 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         else:
             self.w_lo, self.w_hi = _require_pair(w_box, sys.q, "disturbance")
         self.incl: InclusionFunction | None = None
-        self.interval_index: int | None = None
-        self.eta_lo = self.eta_hi = None  # (n, p) lower-face output bounds
-        self.nu_lo = self.nu_hi = None    # (n, p) upper-face output bounds
         # per-interval face rows of the input and disturbance, passed to every
         # extension call of the interval (so extensions must not write into them)
         self._u_spans = None
@@ -287,43 +295,24 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
 
         With ``reverify`` the network is re-relaxed over ``box``; otherwise
         the inherited inclusion function is reused, which requires ``box``
-        to lie inside its domain.
+        to lie inside its domain.  ``interval_index`` is not used.
         """
         self.incl = self._control_inclusion(box, reverify, net, inherited)
         n = self.n
         # lower faces pin coordinate i down to lo_i, upper faces up to hi_i
         rows_lo, rows_hi = self.incl.batch(*_face_rows(box.lo, box.hi, box.lo, box.hi))
-        self.eta_lo, self.eta_hi = rows_lo[:n], rows_hi[:n]
-        self.nu_lo, self.nu_hi = rows_lo[n:], rows_hi[n:]
-        if self.sys.extension is not None:
-            self._u_spans = (
-                np.concatenate([self.eta_lo, np.minimum(self.nu_lo, self.nu_hi)]),
-                np.concatenate([self.eta_hi, np.maximum(self.nu_lo, self.nu_hi)]),
-            )
-            self._w_rows = (np.tile(self.w_lo, (2 * n, 1)),
-                            np.tile(self.w_hi, (2 * n, 1)))
-        self.interval_index = interval_index
+        self._u_spans = (
+            np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
+            np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]),
+        )
+        self._w_rows = (np.tile(self.w_lo, (2 * n, 1)),
+                        np.tile(self.w_hi, (2 * n, 1)))
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
-        if self.eta_lo is None:
+        if self._u_spans is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
-        if self.sys.extension is not None:
-            return _extension_face_field(self.sys, lo, hi, lo, hi, self._u_spans, self._w_rows)
-        return np.concatenate([self._face_d(lo, hi, upper=False),
-                               self._face_d(hi, lo, upper=True)])
-
-    def _face_d(self, a, b, upper: bool) -> np.ndarray:
-        """Component ``i`` of ``d(a, b, ...)`` under face ``i``'s frozen control.
-
-        Lower faces enter with ``eta`` in forward order, upper faces with
-        ``nu`` reversed: the two branches of the hybrid decomposition.
-        """
-        if upper:
-            u, uh, w, wh = self.nu_hi, self.nu_lo, self.w_hi, self.w_lo
-        else:
-            u, uh, w, wh = self.eta_lo, self.eta_hi, self.w_lo, self.w_hi
-        return np.array([self.sys.d(a, b, u[i], uh[i], w, wh)[i] for i in range(self.n)])
+        return _extension_face_field(self.sys, lo, hi, lo, hi, self._u_spans, self._w_rows)
 
     def _step_into(self, cur, out, dt):
         np.add(cur, dt * self.field(cur[0], cur[1]).reshape(2, self.n), out=out)
@@ -331,34 +320,28 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
         """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.
 
+        Component ``i`` of each half bounds ``f_i`` on the face of the span
+        that pins coordinate ``i`` at ``a_i`` (lower half) or ``b_i``.
         Tolerant of slightly crossed pairs: finite differencing perturbs one
         endpoint at a time, which can cross a degenerate axis, so spans are
         formed with componentwise min/max while the face pins keep the true
-        endpoint values.  Input and disturbance pairs may be unordered, as
-        in ``sys.d``.
+        endpoint values.  Input and disturbance pairs are spanned the same way.
 
         The arguments are single vectors or ``(m, ·)`` row stacks, all six
-        alike; a stack gives the ``(m, 2n)`` fields of its rows, with one
-        extension call, or one ``sys.d`` pair per row for a system without
-        an extension.
+        alike; a stack gives the ``(m, 2n)`` fields of its rows with one
+        extension call.
         """
-        sys = self.sys
-        if sys.extension is not None:
-            block = a.shape[:-1] + (2 * self.n,)
-            rows = math.prod(block)  # explicit: reshape(-1, 0) fails when q = 0
+        block = a.shape[:-1] + (2 * self.n,)
+        rows = math.prod(block)  # explicit: reshape(-1, 0) fails when q = 0
 
-            def per_face(v, vh):  # the ordered pair repeated on the 2n rows of its block
-                return tuple(np.broadcast_to(e[..., None, :], block + e.shape[-1:])
-                             .reshape(rows, e.shape[-1])
-                             for e in (np.minimum(v, vh), np.maximum(v, vh)))
+        def per_face(v, vh):  # the ordered pair repeated on the 2n rows of its block
+            return tuple(np.broadcast_to(e[..., None, :], block + e.shape[-1:])
+                         .reshape(rows, e.shape[-1])
+                         for e in (np.minimum(v, vh), np.maximum(v, vh)))
 
-            return _extension_face_field(sys, np.minimum(a, b)[..., None, :],
-                                         np.maximum(a, b)[..., None, :], a, b,
-                                         per_face(ulo, uhi), per_face(wlo, whi))
-        if np.ndim(a) == 2:
-            return np.array([self.open_field(*row) for row in zip(a, b, ulo, uhi, wlo, whi)])
-        return np.concatenate([sys.d(a, b, ulo, uhi, wlo, whi),
-                               sys.d(b, a, uhi, ulo, whi, wlo)])
+        return _extension_face_field(self.sys, np.minimum(a, b)[..., None, :],
+                                     np.maximum(a, b)[..., None, :], a, b,
+                                     per_face(ulo, uhi), per_face(wlo, whi))
 
 
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):
@@ -385,7 +368,6 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         self._Bn = np.minimum(self.B, 0.0)
         self.w_lo = self.w_hi = np.zeros(0)
         self.incl: InclusionFunction | None = None
-        self.interval_index: int | None = None
         self._update = None
 
     @property
@@ -410,7 +392,6 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
             self._Bp @ lb.d_lo + self._Bn @ lb.d_hi,
             self._Bn @ lb.d_lo + self._Bp @ lb.d_hi,
         )
-        self.interval_index = interval_index
 
     def step(self, lo, hi):
         if self._update is None:

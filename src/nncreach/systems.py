@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .embedding import OpenLoopSystem
-from .intervals import interval_cos, interval_mul
+from .intervals import _matvec, interval_cos, interval_mul
 from .partition import DiscreteLTIModel
 
 __all__ = [
@@ -184,7 +184,9 @@ def affine_system(A, B=None, D=None, const=None, discrete: bool = False,
 
     Continuous-time systems keep the diagonal of ``A`` with the first state
     argument and split only the off-diagonal entries by sign; discrete-time
-    maps split every entry.
+    maps split every entry.  The decomposition takes single vectors or
+    ``(m, ·)`` row stacks; each row gets the bits of the single-vector
+    products.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -215,11 +217,11 @@ def affine_system(A, B=None, D=None, const=None, discrete: bool = False,
         return out
 
     def d(x, xh, u, uh, w, wh):
-        out = Ap @ x + An @ xh + c
+        out = _matvec(Ap, x) + _matvec(An, xh) + c
         if B.shape[1]:
-            out = out + Bp @ u + Bn @ uh
+            out = out + _matvec(Bp, u) + _matvec(Bn, uh)
         if D.shape[1]:
-            out = out + Dp @ w + Dn @ wh
+            out = out + _matvec(Dp, w) + _matvec(Dn, wh)
         return out
 
     return OpenLoopSystem(n, B.shape[1], D.shape[1], f, d=d, name=name)

@@ -7,6 +7,7 @@ from nncreach import (
     ContinuousClosedLoopModel,
     MLPNetwork,
     OpenLoopSystem,
+    affine_system,
     cli,
     containment_check,
     register_system,
@@ -151,6 +152,19 @@ class TestBuildExperiment:
         _, traj = sample_trajectories(exp.model, exp.root_box, 50, seed=1)
         assert containment_check(tube, traj).violations == 0
 
+    def test_registered_decomposition_plant_runs(self):
+        # the same recipe with a closed-form decomposition instead of an extension
+        register_system("test-affine-di", lambda: affine_system(
+            np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])))
+        data = di_config_dict(system="test-affine-di", dt=0.1,
+                              control={"period": 0.5}, horizon=1.0)
+        exp = build_experiment(ExperimentConfig.from_dict(data))
+        assert isinstance(exp.model, ContinuousClosedLoopModel)
+        tube, summary = run_experiment(exp)
+        assert summary["final_time"] == pytest.approx(1.0)
+        _, traj = sample_trajectories(exp.model, exp.root_box, 50, seed=1)
+        assert containment_check(tube, traj).violations == 0
+
     def test_plant_without_model_rejected(self):
         register_system("test-no-model", lambda: object())
         data = di_config_dict(system="test-no-model")
@@ -202,6 +216,21 @@ class TestCommandLine:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["reach", "--config", str(tmp_path / "missing.json")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_as_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"schema": 1, "network": "\xff"}')
+        assert cli.main(["reach", "--config", str(path)]) == 1
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+
+    def test_directory_config_exits_as_config_error(self, tmp_path, capsys):
+        assert cli.main(["reach", "--config", str(tmp_path)]) == 1
+        assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
+
+    def test_directory_network_exits_as_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, di_config_dict(network=str(tmp_path)))
+        assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: network file {tmp_path}" in capsys.readouterr().err
 
     def test_non_integer_depth_exits_as_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, di_config_dict())

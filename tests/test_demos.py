@@ -2,7 +2,9 @@
 
 Demos 05 (about 70 s, the full adaptive/uniform vehicle table) and 06
 (about 10 s, a 200-trajectory vehicle audit) are left out to keep the
-suite fast; the acceptance gate covers the same runs.
+suite fast; the acceptance gate covers the same runs.  Each demo runs with
+``-W error``, so a warning (a numpy overflow or invalid value, say) fails
+it as it would fail an in-process test.
 """
 
 import os
@@ -27,7 +29,7 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(REPO / "demos" / script)],
+    proc = subprocess.run([sys.executable, "-W", "error", str(REPO / "demos" / script)],
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -33,6 +33,27 @@ def open_field(sys, lo, hi, u_pair, w_pair=None):
     return emb.open_field(lo, hi, *u_pair, emb.w_lo, emb.w_hi)
 
 
+def reference_face_field(emb, lo, hi):
+    """Reference closed-loop field halves: one ``sys.d`` call per face.
+
+    Lower (upper) face ``i`` is the box ``[lo, hi]`` with coordinate ``i``
+    pinned at ``lo_i`` (``hi_i``), under the controller bounds on that face;
+    it contributes component ``i`` of ``d`` in forward (reversed) order.
+    """
+    sys, n = emb.sys, emb.n
+    out = np.empty(2 * n)
+    for i in range(n):
+        for k, pin in ((i, lo[i]), (n + i, hi[i])):
+            x, xh = lo.copy(), hi.copy()
+            x[i] = xh[i] = pin
+            u, uh = emb.incl(x, xh)
+            if k < n:
+                out[k] = sys.d(x, xh, u, uh, emb.w_lo, emb.w_hi)[i]
+            else:
+                out[k] = sys.d(xh, x, uh, u, emb.w_hi, emb.w_lo)[i]
+    return out[:n], out[n:]
+
+
 def exact_linear_inclusion(K, domain, offset=0.0):
     K = np.atleast_2d(K)
     p = K.shape[0]
@@ -98,6 +119,19 @@ class TestOpenEmbeddingField:
         want = np.concatenate([sys.d(lo, hi, u, uh, w, w), sys.d(hi, lo, uh, u, w, w)])
         assert np.array_equal(out, want)
         assert np.array_equal(out[[3, 7]], [-1.0, 0.5])
+
+    def test_decomposition_only_unordered_pairs_match_ordered(self):
+        # a plant with only ``d`` spans crossed input and disturbance pairs
+        # like the extension path does
+        sys = affine_system(np.array([[-1.0, 0.5], [0.25, -2.0]]), np.array([[1.0], [-0.5]]),
+                            np.array([[0.5, 0.0], [-0.25, 0.75]]))
+        emb = ClosedLoopEmbedding(sys)
+        lo = np.array([-1.0, 0.0])
+        hi = lo + 0.3
+        u, uh = np.array([0.5]), np.array([-1.0])
+        w, wh = np.array([0.1, -0.2]), np.array([-0.1, 0.3])
+        ordered = emb.open_field(lo, hi, uh, u, np.minimum(w, wh), np.maximum(w, wh))
+        assert np.array_equal(emb.open_field(lo, hi, u, uh, w, wh), ordered)
 
 
 def face_kernel_cases():
@@ -286,7 +320,7 @@ class TestClosedLoopEmbedding:
         incl = exact_linear_inclusion(np.array([[2.0]]), box)
         emb = ClosedLoopEmbedding(sys)
         emb.refresh_control(box, reverify=False, inherited=incl, interval_index=0)
-        out = emb._face_d(z, z, upper=False)
+        out, _ = reference_face_field(emb, z, z)
         # f(x, N(x)) with N(x) = 2x
         assert out[0] == pytest.approx(-0.7 + 2 * 0.7, abs=1e-12)
 
@@ -320,8 +354,7 @@ class TestClosedLoopEmbedding:
                             interval_index=0)
         lo, hi = vehicle_box.lo, vehicle_box.hi
         fast = emb.field(lo, hi)
-        ref_lower = emb._face_d(lo, hi, upper=False)
-        ref_upper = emb._face_d(hi, lo, upper=True)
+        ref_lower, ref_upper = reference_face_field(emb, lo, hi)
         assert np.allclose(fast, np.concatenate([ref_lower, ref_upper]), atol=1e-12)
 
     def test_integration_preserves_order(self, vehicle_net, vehicle_box):
@@ -359,8 +392,7 @@ class TestClosedLoopEmbedding:
         emb = ClosedLoopEmbedding(sys)
         emb.refresh_control(child, reverify=False, inherited=parent_incl,
                             interval_index=3)
-        assert emb.eta_lo.shape == (2, 1)
-        assert emb.interval_index == 3
+        assert emb.incl is parent_incl
 
         outside = IntervalVector(di_box.lo - 1.0, di_box.hi)
         with pytest.raises(DomainError, match="not contained"):
