@@ -132,10 +132,10 @@ class OpenLoopSystem:
         :func:`build_tight_decomposition`).  At least one of ``d`` and
         ``extension`` is required.  With only ``extension`` the tight
         decomposition is synthesized; with only ``d``, ``self.extension``
-        is ``d`` in forward (lower ends) and reversed (upper ends) argument
-        order, which bounds only component ``i`` of a row that pins
-        coordinate ``i``, the one component the face kernel reads.  The
-        embedding evaluates every plant through ``self.extension``.
+        stays ``None`` and the embedding reads ``d`` in forward (lower
+        ends) and reversed (upper ends) argument order instead, which
+        bounds only component ``i`` of a row that pins coordinate ``i``,
+        the one component the face kernel reads.
     """
 
     def __init__(self, n, p, q, f, d=None, extension=None, name=""):
@@ -146,10 +146,12 @@ class OpenLoopSystem:
         self.q = int(q)
         self.f = f
         self.d = d if d is not None else build_tight_decomposition(extension)
+        self.extension = extension
         if extension is None:
             def extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
                 return d(Xlo, Xhi, Ulo, Uhi, Wlo, Whi), d(Xhi, Xlo, Uhi, Ulo, Whi, Wlo)
-        self.extension = extension
+        # what the face kernel calls: the enclosure, or the wrapped d
+        self._face_extension = extension
         self.name = name
 
     def __repr__(self):
@@ -218,7 +220,7 @@ def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
     """
     Xlo, Xhi = _face_rows(span_lo, span_hi, a, b)
     rows = u_rows[0].shape[0]
-    flo, fhi = sys.extension(Xlo.reshape(rows, sys.n), Xhi.reshape(rows, sys.n),
+    flo, fhi = sys._face_extension(Xlo.reshape(rows, sys.n), Xhi.reshape(rows, sys.n),
                              *u_rows, *w_rows)
     return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
 

@@ -320,9 +320,10 @@ class TestClosedLoopEmbedding:
         incl = exact_linear_inclusion(np.array([[2.0]]), box)
         emb = ClosedLoopEmbedding(sys)
         emb.refresh_control(box, reverify=False, inherited=incl, interval_index=0)
-        out, _ = reference_face_field(emb, z, z)
+        out = emb.field(z, z)
         # f(x, N(x)) with N(x) = 2x
         assert out[0] == pytest.approx(-0.7 + 2 * 0.7, abs=1e-12)
+        assert np.array_equal(out[:1], reference_face_field(emb, z, z)[0])
 
     def test_matches_lti_continuous_analogue(self):
         # sign-aligned coefficients so the per-term split equals the
@@ -413,6 +414,14 @@ class TestClosedLoopEmbedding:
                 emb.field(lo, hi)
             with pytest.raises(RuntimeError, match="not initialized"):
                 emb.integrate(lo, hi, 0.01, 3)
+
+    def test_extension_attribute_is_only_a_given_enclosure(self):
+        # a d-only plant is read on faces through a private wrapper; its
+        # public extension stays None, since the wrapper encloses f only in
+        # the pinned component of each face row
+        assert scalar_leak().extension is None
+        veh = VehicleSystem()
+        assert veh.open_loop().extension == veh.extension
 
 
 class TestDiscreteLTIEmbedding:
