@@ -7,13 +7,14 @@ Two bounding modes are provided:
 * :func:`crown_bounds` back-propagates affine envelopes through the
   network, yielding linear lower/upper bounds that are valid over the
   whole input box and can be re-evaluated cheaply on any sub-box via
-  :func:`make_inclusion`.
+  :func:`make_inclusion`.  The inclusion function has one evaluation
+  form; its bits hold per ``2n``-row face block, not per single row.
 
 ReLU envelopes follow the standard triangle relaxation.  For an unstable
 neuron with pre-activation range ``[l, u]`` the upper line has slope
 ``u/(u-l)`` and intercept ``-l*u/(u-l)``; the lower line has slope 1 when
 ``u >= |l|`` and 0 otherwise (ties go to 1).  Pre-activation ranges come
-from a forward interval pass.
+from the forward interval pass that :func:`ibp_bounds` also takes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalVector, _matvec
+from .intervals import IntervalVector
 from .networks import MLPNetwork
 
 __all__ = [
@@ -62,6 +63,10 @@ def _activation_interval(name, lo, hi):
 
 def _preactivation_bounds(net: MLPNetwork, box: IntervalVector):
     """Forward interval pass; returns per-layer pre-activation ranges."""
+    if box.n != net.input_dim:
+        raise ValueError(
+            f"box has dimension {box.n}, network expects {net.input_dim}"
+        )
     lo, hi = box.lo, box.hi
     pre = []
     for layer in net.layers:
@@ -73,15 +78,8 @@ def _preactivation_bounds(net: MLPNetwork, box: IntervalVector):
 
 def ibp_bounds(net: MLPNetwork, box: IntervalVector) -> IntervalVector:
     """Layer-wise interval propagation; contains ``net(x)`` for all x in box."""
-    if box.n != net.input_dim:
-        raise ValueError(
-            f"box has dimension {box.n}, network expects {net.input_dim}"
-        )
-    lo, hi = box.lo, box.hi
-    for layer in net.layers:
-        zlo, zhi = _affine_interval(layer.weights, layer.bias, lo, hi)
-        lo, hi = _activation_interval(layer.activation, zlo, zhi)
-    return IntervalVector(lo, hi)
+    zlo, zhi = _preactivation_bounds(net, box)[-1]
+    return IntervalVector(*_activation_interval(net.layers[-1].activation, zlo, zhi))
 
 
 @dataclass(frozen=True)
@@ -131,12 +129,8 @@ def crown_bounds(net: MLPNetwork, box: IntervalVector) -> LinearBounds:
     Exact for purely affine networks.  ReLU layers use the triangle
     relaxation with pre-activation ranges from a forward interval pass.
     """
-    if box.n != net.input_dim:
-        raise ValueError(
-            f"box has dimension {box.n}, network expects {net.input_dim}"
-        )
-    check_relaxable(net)
     pre = _preactivation_bounds(net, box)
+    check_relaxable(net)
 
     last = net.layers[-1]
     Cu = last.weights.copy()
@@ -196,32 +190,18 @@ class InclusionFunction:
             raise DomainError("query box not contained in the relaxation domain")
 
     def __call__(self, a, b, check: bool = True):
-        """Output bounds at a pair of vectors, or row by row at ``(m, n)`` stacks."""
+        """Output bounds at a pair of vectors, or row-wise at ``(m, n)`` stacks.
+
+        The products are ``@ C.T`` over the whole stack: a stack of whole
+        ``2n``-row face blocks gives each block the bits of its own call, but
+        a single row may differ in the last place from that row in a stack.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if check:
             self.check_domain(a, b)
         lo_in = np.minimum(a, b)
         hi_in = np.maximum(a, b)
-        lo = _matvec(self._Clp, lo_in) + _matvec(self._Cln, hi_in) + self.bounds.d_lo
-        hi = _matvec(self._Chp, hi_in) + _matvec(self._Chn, lo_in) + self.bounds.d_hi
-        return lo, hi
-
-    def batch(self, A, B, check: bool = True):
-        """Row-wise evaluation for stacks of argument pairs ``(m, n)``.
-
-        The engine's face caches come from here; its ``@ C.T`` products may
-        differ from :meth:`__call__` in the last place, so the reach tubes
-        depend on this form.
-        """
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        lo_in = np.minimum(A, B)
-        hi_in = np.maximum(A, B)
-        if check:
-            d = self.bounds.domain
-            if np.any(lo_in < d.lo - _DOMAIN_SLACK) or np.any(hi_in > d.hi + _DOMAIN_SLACK):
-                raise DomainError("query box not contained in the relaxation domain")
         lo = lo_in @ self._Clp.T + hi_in @ self._Cln.T + self.bounds.d_lo
         hi = hi_in @ self._Chp.T + lo_in @ self._Chn.T + self.bounds.d_hi
         return lo, hi

@@ -24,15 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, build_experiment, run_experiment
-from .contraction import (
-    estimate_contraction,
-    halton,
-    region_domain,
-    region_from_tube,
-    error_bound,
-)
+from .contraction import diagnose
 from .embedding import EmbeddingOrderError
-from .intervals import IntervalVector
 from .montecarlo import containment_check, sample_trajectories
 from .partition import compute_reachable_set, csv_rows
 
@@ -156,68 +149,12 @@ def cmd_mc(args) -> int:
 def cmd_bounds(args) -> int:
     cfg, out_dir = _load(args)
     exp = build_experiment(cfg)
-    tube, summary = run_experiment(exp)
-    stride = max(1, (len(tube.times) - 1) // 16)
-    region = region_from_tube(tube, stride=stride)
-    domain = region_domain(region)
-    incl = exp.model.verify(domain)
-    emb = exp.model.make_embedding()
-    emb.refresh_control(domain, reverify=False, inherited=incl, interval_index=0)
-    est = estimate_contraction(emb, region)
-
-    # network approximation error over the analysis region (sampled)
-    nn_err = 0.0
-    for box in region:
-        pts = box.lo + halton(32, box.n) * (box.hi - box.lo)
-        outputs = exp.net(pts)
-        zlo, zhi = incl(pts, pts, check=False)
-        # per-point maxima; a NaN one is skipped, as a running max skips it
-        nn_err = max(nn_err, *np.abs(zlo - outputs).max(axis=1).tolist(),
-                     *np.abs(zhi - outputs).max(axis=1).tolist())
-    init_err = float(np.max(exp.root_box.width / 2.0))
-    if cfg.disturbance_lo:
-        w_err = float(np.max((np.array(cfg.disturbance_hi)
-                              - np.array(cfg.disturbance_lo)) / 2.0))
-    else:
-        w_err = 0.0
-
-    # bound curve vs the deviation of the tube hull from the center run
-    _, center_traj = sample_trajectories(
-        exp.model,
-        IntervalVector(exp.root_box.center, exp.root_box.center),
-        1, cfg.seed,
-    )
-    ref = center_traj[0]
-    t0 = float(tube.times[0])
-    curve = []
-    for k, t in enumerate(tube.times):
-        hull = tube.hull_at(k)
-        empirical = max(
-            float(np.max(np.abs(hull.lo - ref[k]))),
-            float(np.max(np.abs(hull.hi - ref[k]))),
-        )
-        bound = error_bound(est, float(t) - t0, init_err, nn_err, w_err)
-        curve.append({"t": float(t), "empirical": empirical, "bound": bound})
-
-    dominance_gap = est.c_x - est.composite_bound
-    _write_json(out_dir / "bounds.json", {
-        "schema": 1,
-        "c_x_estimate": est.c_x,
-        "c_x_open_estimate": est.c_x_open,
-        "l_u_estimate": est.l_u,
-        "l_w_estimate": est.l_w,
-        "lip_inf": est.lip_inf,
-        "composite_bound": est.composite_bound,
-        "dominance_gap": dominance_gap,
-        "sample_count": est.sample_count,
-        "nn_err_sup_estimate": nn_err,
-        "init_err": init_err,
-        "w_err_sup": w_err,
-        "error_bound_curve": curve,
-    })
+    tube, _ = run_experiment(exp)
+    doc = diagnose(exp, tube)
+    _write_json(out_dir / "bounds.json", doc)
     print(
-        f"bounds: c_x~{est.c_x:.4g} composite~{est.composite_bound:.4g} "
-        f"lip_inf={est.lip_inf:.4g} (gap {dominance_gap:.2g}) -> {out_dir}"
+        f"bounds: c_x~{doc['c_x_estimate']:.4g} composite~{doc['composite_bound']:.4g} "
+        f"lip_inf={doc['lip_inf']:.4g} (gap {doc['dominance_gap']:.2g}) -> {out_dir}"
     )
     return EXIT_OK
 

@@ -5,7 +5,9 @@ for low dimensions, Halton points otherwise), so every figure reported
 here is an *estimate from below* of the true supremum.  The closed-loop
 field analysed here applies the network relaxation continuously at the
 evaluation state (the analysis object behind the error bounds); the
-integration engine instead freezes face caches per control interval.
+integration engine instead freezes face caches per control interval.  Both
+evaluate the one relaxation map of the inclusion function.
+:func:`diagnose` gathers every figure ``nncreach bounds`` reports.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .intervals import IntervalVector, interval_hull, matrix_measure_inf
+from .montecarlo import sample_trajectories
 
 __all__ = [
     "ContractionEstimate",
     "estimate_contraction",
+    "diagnose",
     "error_bound",
     "composite_rate_bound",
     "fd_jacobian",
@@ -260,3 +264,55 @@ def region_from_tube(tube, stride: int = 1):
 
 def region_domain(region) -> IntervalVector:
     return interval_hull(region)
+
+
+def diagnose(exp, tube) -> dict:
+    """The contraction diagnostics of a computed tube, as ``bounds.json`` holds them.
+
+    The region is the tube's hulls at about 16 evenly strided steps and the
+    last one; the experiment's model is verified once on its hull, and that
+    relaxation drives the estimate and the sampled network approximation
+    error.  The error-bound curve is set against the tube hull's deviation
+    from the trajectory of the initial box's center.
+    """
+    cfg = exp.config
+    region = region_from_tube(tube, stride=max(1, (len(tube.times) - 1) // 16))
+    domain = region_domain(region)
+    incl = exp.model.verify(domain)
+    emb = exp.model.make_embedding()
+    emb.refresh_control(domain, reverify=False, inherited=incl, interval_index=0)
+    est = estimate_contraction(emb, region)
+
+    # network approximation error over the analysis region (sampled)
+    nn_err = 0.0
+    for box in region:
+        pts = box.lo + halton(32, box.n) * (box.hi - box.lo)
+        outputs = exp.net(pts)
+        zlo, zhi = incl(pts, pts, check=False)
+        # per-point maxima; a NaN one is skipped, as a running max skips it
+        nn_err = max(nn_err, *np.abs(zlo - outputs).max(axis=1).tolist(),
+                     *np.abs(zhi - outputs).max(axis=1).tolist())
+    init_err = float(np.max(exp.root_box.width / 2.0))
+    w_err = (float(np.max((np.array(cfg.disturbance_hi) - np.array(cfg.disturbance_lo)) / 2.0))
+             if cfg.disturbance_lo else 0.0)
+
+    center = exp.root_box.center
+    _, center_traj = sample_trajectories(exp.model, IntervalVector(center, center),
+                                         1, cfg.seed)
+    ref = center_traj[0]
+    t0 = float(tube.times[0])
+    curve = []
+    for k, t in enumerate(tube.times):
+        hull = tube.hull_at(k)
+        empirical = max(float(np.max(np.abs(hull.lo - ref[k]))),
+                        float(np.max(np.abs(hull.hi - ref[k]))))
+        curve.append({"t": float(t), "empirical": empirical,
+                      "bound": error_bound(est, float(t) - t0, init_err, nn_err, w_err)})
+    return {
+        "schema": 1, "c_x_estimate": est.c_x, "c_x_open_estimate": est.c_x_open,
+        "l_u_estimate": est.l_u, "l_w_estimate": est.l_w, "lip_inf": est.lip_inf,
+        "composite_bound": est.composite_bound,
+        "dominance_gap": est.c_x - est.composite_bound, "sample_count": est.sample_count,
+        "nn_err_sup_estimate": nn_err, "init_err": init_err, "w_err_sup": w_err,
+        "error_bound_curve": curve,
+    }

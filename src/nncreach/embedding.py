@@ -15,8 +15,10 @@ pinned component is the decomposition's bound for that face.
 The closed loop with a sampled neural-network controller is handled by
 :class:`ClosedLoopEmbedding`: at every control instant the network is
 relaxed over the current box and the resulting output intervals are
-evaluated on the ``2n`` faces of that box.  Those face intervals stay
-frozen while the embedding is integrated across the control interval.
+evaluated on the ``2n`` faces of that box in one call, whose bits hold
+per ``2n``-row face block (a lone row may differ in the last place).
+Those face intervals stay frozen while the embedding is integrated
+across the control interval.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows`` and read back by
@@ -126,7 +128,7 @@ class OpenLoopSystem:
     d:
         Optional closed-form decomposition ``d(x, xh, u, uh, w, wh)``.  It
         must accept ``(m, ·)`` row stacks, as ``f`` does, as well as single
-        vectors.
+        vectors; the shapes of one call on ``2n`` rows are checked here.
     extension:
         Optional batched interval enclosure of ``f`` (see
         :func:`build_tight_decomposition`).  At least one of ``d`` and
@@ -150,6 +152,8 @@ class OpenLoopSystem:
         if extension is None:
             def extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
                 return d(Xlo, Xhi, Ulo, Uhi, Wlo, Whi), d(Xhi, Xlo, Uhi, Ulo, Whi, Wlo)
+
+            _check_face_stack(extension, self.n, self.p, self.q)
         # what the face kernel calls: the enclosure, or the wrapped d
         self._face_extension = extension
         self.name = name
@@ -167,6 +171,21 @@ class OpenLoopSystem:
                                          control_period=control_period,
                                          control_instants=control_instants,
                                          w_box=w_box)
+
+
+def _check_face_stack(extension, n, p, q) -> None:
+    """Raise ``ValueError`` unless ``extension`` maps ``2n`` rows to a ``(2n, n)`` pair.
+
+    Only shapes are checked: a sound plant may be undefined at the probe.
+    """
+    rows = [np.zeros((2 * n, k)) for k in (n, n, p, p, q, q)]
+    with np.errstate(all="ignore"):
+        try:
+            shapes = [np.shape(v) for v in extension(*rows)]
+        except ValueError as exc:
+            raise ValueError(f"d must accept (m, ·) row stacks: {exc}") from None
+    if shapes != [(2 * n, n)] * 2:
+        raise ValueError(f"d must map (2n, ·) row stacks to (2n, n), got {shapes}")
 
 
 def _require_pair(pair, dim, what):
@@ -301,8 +320,10 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         """
         self.incl = self._control_inclusion(box, reverify, net, inherited)
         n = self.n
-        # lower faces pin coordinate i down to lo_i, upper faces up to hi_i
-        rows_lo, rows_hi = self.incl.batch(*_face_rows(box.lo, box.hi, box.lo, box.hi))
+        # lower faces pin coordinate i down to lo_i, upper faces up to hi_i; the
+        # faces lie inside the box the relaxation was built on or checked against
+        rows_lo, rows_hi = self.incl(*_face_rows(box.lo, box.hi, box.lo, box.hi),
+                                     check=False)
         self._u_spans = (
             np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
             np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]),

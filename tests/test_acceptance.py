@@ -114,16 +114,16 @@ def test_criterion_3_adaptive_speedup(benchmark_runs):
     """Adaptive runs faster at equal depths with volume within 15%."""
     runs, _ = benchmark_runs
     reps = 20
-    means = {}
-    for name in ["vehicle_adaptive_d2n1", "vehicle_uniform_d2n1",
-                 "vehicle_adaptive_d2n2", "vehicle_uniform_d2n2"]:
-        exp = runs[name]["exp"]
-        t = []
-        for _ in range(reps):
+    times = {name: [] for name in ["vehicle_adaptive_d2n1", "vehicle_uniform_d2n1",
+                                   "vehicle_adaptive_d2n2", "vehicle_uniform_d2n2"]}
+    # round-robin over the configs, so a burst of machine load falls on all four
+    for _ in range(reps):
+        for name, t in times.items():
+            exp = runs[name]["exp"]
             start = time.perf_counter()
             compute_reachable_set(exp.root_box, exp.params, exp.model)
             t.append(time.perf_counter() - start)
-        means[name] = (float(np.mean(t)), float(np.std(t)))
+    means = {name: (float(np.mean(t)), float(np.std(t))) for name, t in times.items()}
     lines = []
     for depth in ("d2n1", "d2n2"):
         am, astd = means[f"vehicle_adaptive_{depth}"]

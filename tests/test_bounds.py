@@ -10,6 +10,7 @@ from nncreach import (
     ibp_bounds,
     make_inclusion,
 )
+from nncreach.embedding import _face_rows
 
 from conftest import random_box, random_relu_network
 
@@ -199,24 +200,39 @@ class TestInclusionFunction:
                 wins += 1
         assert wins / total >= 0.95
 
-    def test_stacked_call_matches_rows(self):
-        """Row stacks give each row's bits; a single pair keeps the ``@`` formula's."""
+    @staticmethod
+    def assert_stacked_blocks_match(incl, lo, hi):
+        """One call over the ``(L, n)`` boxes' stacked face blocks equals the L calls."""
+        L, n = lo.shape
+        Xlo, Xhi = _face_rows(lo[:, None, :], hi[:, None, :], lo, hi)  # (L, 2n, n)
+        stack_lo, stack_hi = incl(Xlo.reshape(-1, n), Xhi.reshape(-1, n))
+        blocks = [incl(Xlo[k], Xhi[k]) for k in range(L)]
+        assert stack_lo.tobytes() == np.concatenate([b[0] for b in blocks]).tobytes()
+        assert stack_hi.tobytes() == np.concatenate([b[1] for b in blocks]).tobytes()
+
+    def test_stacked_face_blocks_match_per_block_calls(self):
+        """Face caches of several boxes can be one call: bits hold per ``2n``-row block.
+
+        A lone row need not keep its bits inside a stack, so single rows are
+        not compared.
+        """
         rng = np.random.default_rng(21)
-        net = random_relu_network(rng, n_in=6, n_out=2, depth=3)
-        box = random_box(rng, 6)
-        incl = make_inclusion(crown_bounds(net, box))
-        A = box.lo + rng.uniform(size=(40, 6)) * box.width
-        B = box.lo + rng.uniform(size=(40, 6)) * box.width  # unordered on some axes
-        lo, hi = incl(A, B)
-        rows = [incl(a, b) for a, b in zip(A, B)]
-        assert lo.tobytes() == np.array([r[0] for r in rows]).tobytes()
-        assert hi.tobytes() == np.array([r[1] for r in rows]).tobytes()
-        lb = incl.bounds
-        a, b = np.minimum(A[0], B[0]), np.maximum(A[0], B[0])
-        want_lo = (np.maximum(lb.C_lo, 0.0) @ a + np.minimum(lb.C_lo, 0.0) @ b + lb.d_lo)
-        want_hi = (np.maximum(lb.C_hi, 0.0) @ b + np.minimum(lb.C_hi, 0.0) @ a + lb.d_hi)
-        assert rows[0][0].tobytes() == want_lo.tobytes()
-        assert rows[0][1].tobytes() == want_hi.tobytes()
+        for _ in range(300):
+            n, p = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            net = random_relu_network(rng, n_in=n, n_out=p, depth=int(rng.integers(1, 4)))
+            box = random_box(rng, n)
+            incl = make_inclusion(crown_bounds(net, box))
+            L = int(rng.integers(1, 40))
+            u, v = (rng.uniform(size=(2, L, n)) * box.width)
+            self.assert_stacked_blocks_match(incl, box.lo + np.minimum(u, v),
+                                             box.lo + np.maximum(u, v))
+
+    def test_stacked_face_blocks_match_on_vehicle_relaxation(self, vehicle_net, vehicle_box):
+        rng = np.random.default_rng(22)
+        incl = make_inclusion(crown_bounds(vehicle_net, vehicle_box))
+        u, v = rng.uniform(size=(2, 64, 4)) * vehicle_box.width
+        self.assert_stacked_blocks_match(incl, vehicle_box.lo + np.minimum(u, v),
+                                         vehicle_box.lo + np.maximum(u, v))
 
     def test_state_lipschitz_matches_finite_differences(self):
         rng = np.random.default_rng(12)

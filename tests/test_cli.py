@@ -232,6 +232,24 @@ class TestCommandLine:
         assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: network file {tmp_path}" in capsys.readouterr().err
 
+    def test_single_vector_decomposition_exits_as_config_error(self, tmp_path, capsys):
+        # a sound decomposition of the double integrator written for single
+        # vectors: A @ x takes no (2n, n) face-row stack
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        B = np.array([[0.0], [1.0]])
+
+        def f(x, u, w=None):
+            return x @ A.T + u @ B.T
+
+        def d(x, xh, u, uh, w, wh):
+            return A @ x + B @ u
+
+        register_system("test-single-vector-d", lambda: OpenLoopSystem(2, 1, 0, f, d=d))
+        path = write_config(tmp_path, di_config_dict(
+            system="test-single-vector-d", dt=0.1, control={"period": 0.5}, horizon=1.0))
+        assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: config.system: d must accept" in capsys.readouterr().err
+
     def test_non_integer_depth_exits_as_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, di_config_dict())
         assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o"),

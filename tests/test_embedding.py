@@ -423,6 +423,15 @@ class TestClosedLoopEmbedding:
         veh = VehicleSystem()
         assert veh.open_loop().extension == veh.extension
 
+    def test_decomposition_shapes_checked_not_values(self):
+        def f(x, u, w=None):
+            return np.sqrt(x - 1.0)
+
+        # undefined at the probe point, yet sound on its domain: accepted
+        OpenLoopSystem(1, 1, 0, f, d=lambda x, xh, u, uh, w, wh: np.sqrt(x - 1.0))
+        with pytest.raises(ValueError, match=r"to \(2n, n\)"):
+            OpenLoopSystem(2, 1, 0, f, d=lambda x, xh, u, uh, w, wh: x[:, 0])
+
 
 class TestDiscreteLTIEmbedding:
     A = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -203,7 +203,8 @@ def test_engine_grid_matches_golden_digests(tmp_path, key):
 
 
 # Contraction diagnostics: float.hex of (c_x, c_x_open, l_u, l_w, lip_inf)
-# and the sample count of estimate_contraction.  The DI tube region takes the
+# and the sample count of estimate_contraction, for the tube cases as
+# contraction.diagnose reports them in bounds.json.  The DI tube region takes the
 # grid branch, the 4-state vehicle region the Halton branch and the extension
 # path, and the affine loop (a decomposition-only system) is the one case
 # with a disturbance, so the only one where l_w is sampled.
@@ -212,7 +213,7 @@ CONTRACTION_FIGURES = {
         "0x1.438cf78cabbe2p+1", "0x1.00000000ace8cp+1", "0x1.0000000153312p+0",
         "0x0.0p+0", "0x1.0e33de2e48a3cp+0", 1350),
     "vehicle_adaptive_d2n1-h0.5": (
-        "0x1.a405dc0aca70ep+2", "0x1.0727a70441130p+2", "0x1.000000007346dp+0",
+        "0x1.a405dc0b17cd9p+2", "0x1.0727a70441130p+2", "0x1.000000007346dp+0",
         "0x0.0p+0", "0x1.a405dc08e2656p+2", 576),
     "affine_disturbed": (
         "0x1.1a406b403d4c4p+0", "-0x1.fffffff84b9e8p-2", "0x1.00000000d84aap+0",
@@ -225,17 +226,17 @@ GOLDEN_BOUNDS_SHA256 = {
 }
 
 
-def tube_region_estimate(name, overrides=()):
+FIGURE_KEYS = ("c_x_estimate", "c_x_open_estimate", "l_u_estimate", "l_w_estimate",
+               "lip_inf", "sample_count")
+
+
+def tube_region_figures(name, overrides=()):
     """The estimate `nncreach bounds` makes on the tube of a shipped config."""
     exp = config.build_experiment(config.ExperimentConfig.load(
         CONFIGS / f"{name}.json", list(overrides)))
     tube = partition.compute_reachable_set(exp.root_box, exp.params, exp.model)
-    region = contraction.region_from_tube(tube, stride=max(1, (len(tube.times) - 1) // 16))
-    domain = contraction.region_domain(region)
-    emb = exp.model.make_embedding()
-    emb.refresh_control(domain, reverify=False, inherited=exp.model.verify(domain),
-                        interval_index=0)
-    return contraction.estimate_contraction(emb, region)
+    doc = contraction.diagnose(exp, tube)
+    return tuple(doc[k] for k in FIGURE_KEYS)
 
 
 AFFINE_W_BOX = (np.array([-0.1, -0.2]), np.array([0.1, 0.3]))
@@ -261,12 +262,13 @@ def disturbed_affine_estimate():
     emb = ClosedLoopEmbedding(sys, w_box=AFFINE_W_BOX)
     emb.refresh_control(domain, reverify=True, net=net, interval_index=0)
     inner = IntervalVector(np.array([-1.0, 0.0]), np.array([0.5, 1.5]))
-    return contraction.estimate_contraction(emb, [domain, inner])
+    est = contraction.estimate_contraction(emb, [domain, inner])
+    return est.c_x, est.c_x_open, est.l_u, est.l_w, est.lip_inf, est.sample_count
 
 
 CONTRACTION_CASES = {
-    "di_adaptive_d6n2": lambda: tube_region_estimate("di_adaptive_d6n2"),
-    "vehicle_adaptive_d2n1-h0.5": lambda: tube_region_estimate(
+    "di_adaptive_d6n2": lambda: tube_region_figures("di_adaptive_d6n2"),
+    "vehicle_adaptive_d2n1-h0.5": lambda: tube_region_figures(
         "vehicle_adaptive_d2n1", ["horizon=0.5"]),
     "affine_disturbed": disturbed_affine_estimate,
 }
@@ -274,10 +276,8 @@ CONTRACTION_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CONTRACTION_FIGURES))
 def test_contraction_estimate_matches_golden_figures(name):
-    est = CONTRACTION_CASES[name]()
-    figures = tuple(float(v).hex() for v in
-                    (est.c_x, est.c_x_open, est.l_u, est.l_w, est.lip_inf))
-    assert figures + (est.sample_count,) == CONTRACTION_FIGURES[name]
+    *rates, count = CONTRACTION_CASES[name]()
+    assert tuple(float(v).hex() for v in rates) + (count,) == CONTRACTION_FIGURES[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS_SHA256))

@@ -6,7 +6,8 @@ a name that has gone missing, so a refactor that moves ``verify``,
 reconciliation failure of a traced benchmark run.  This runs the reach
 and report stages of shipped configs, adaptive and uniform (the prebuilt
 tree), under the tracer and requires the traced counts to match the
-program's own counters.
+program's own counters, and the face evaluations to be seen, one per
+continuous refresh.
 """
 
 import importlib.util
@@ -51,3 +52,7 @@ def test_traced_counts_reconcile(name, overrides, tmp_path):
     assert metrics["bounds.crown_calls"] > 0
     assert metrics["embedding.advance_calls"] > 0
     assert metrics["embedding.refresh_calls"] > 0
+    # a continuous refresh evaluates its face caches with one traced
+    # InclusionFunction call; the discrete embedding has no face caches
+    assert metrics["bounds.face_eval_calls"] == (
+        metrics["embedding.refresh_calls"] if continuous else 0)
