@@ -57,7 +57,20 @@ class ContainmentReport:
 
 
 def containment_check(tube: ReachTube, trajectories, slack: float = 1e-9) -> ContainmentReport:
-    """Check that every trajectory point lies in the union of that step's boxes."""
+    """Check that every trajectory point lies in the union of that step's boxes.
+
+    A point's deficit against a box is its largest coordinate overshoot,
+    ``max_i max(lo_i - x_i, x_i - hi_i)``; its deficit against the tube is
+    the smallest over the step's boxes, and the point violates the tube
+    when that exceeds ``slack``.  Each step folds the coordinates in order
+    into one ``(B, count)`` array, so the result is exact: every element
+    sees the same subtractions, and the max and min see the same floats,
+    whatever the evaluation order.
+
+    A point that is not finite is a violation with deficit ``inf``, so
+    ``worst_deficit <= slack`` still means the report is ok.  The
+    trajectories must be shaped ``(count, len(tube.times), tube.n)``.
+    """
     traj = np.asarray(trajectories, dtype=float)
     if traj.ndim != 3:
         raise ValueError("trajectories must be shaped (count, len(times), n)")
@@ -67,19 +80,25 @@ def containment_check(tube: ReachTube, trajectories, slack: float = 1e-9) -> Con
             f"time-grid mismatch: trajectories have {K} samples, tube has "
             f"{len(tube.times)}"
         )
+    if n != tube.n:
+        raise ValueError(
+            f"state-dimension mismatch: trajectories have {n} coordinates, "
+            f"tube has {tube.n}"
+        )
     violations = 0
     worst = -np.inf
     first = None
     for k in range(K):
-        boxes = tube.boxes[k]  # (B, 2, n)
-        pts = traj[:, k]       # (count, n)
-        deficit = np.maximum(
-            boxes[:, 0][:, None, :] - pts[None, :, :],
-            pts[None, :, :] - boxes[:, 1][:, None, :],
-        ).max(axis=2)          # (B, count)
+        lo = tube.boxes[k][:, 0].T[:, :, None]  # (n, B, 1)
+        hi = tube.boxes[k][:, 1].T[:, :, None]
+        x = traj[:, k].T                        # (n, count)
+        deficit = np.maximum(lo[0] - x[0], x[0] - hi[0])  # (B, count)
+        for i in range(1, n):
+            np.maximum(deficit, np.maximum(lo[i] - x[i], x[i] - hi[i]), out=deficit)
         best = deficit.min(axis=0)
-        worst = max(worst, float(best.max()))
-        bad = best > slack
+        top = float(best.max())
+        worst = max(worst, np.inf if np.isnan(top) else top)
+        bad = ~(best <= slack)  # a NaN coordinate gives a NaN deficit
         if bad.any():
             violations += int(bad.sum())
             if first is None:

@@ -350,6 +350,26 @@ class TestCommandLine:
         assert cli.main(["mc", "--config", str(path), "--out",
                          str(tmp_path / "o"), "--reps", "3"]) == 2
 
+    def test_mc_nan_trajectory_point_is_violation(self, tmp_path, monkeypatch):
+        import nncreach.cli as climod
+
+        real = climod.sample_trajectories
+
+        def with_nan(model, box, count, seed):
+            times, traj = real(model, box, count, seed)
+            traj[1, 2, 0] = np.nan
+            return times, traj
+
+        monkeypatch.setattr(climod, "sample_trajectories", with_nan)
+        path = write_config(tmp_path, di_config_dict())
+        out = tmp_path / "o"
+        assert cli.main(["mc", "--config", str(path), "--out", str(out),
+                         "--reps", "3"]) == 2
+        report = json.loads((out / "mc_report.json").read_text())
+        assert report["violations"] == 1
+        assert report["first_violation"] == [2, 1]
+        assert report["worst_deficit"] == np.inf
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from nncreach.embedding import EmbeddingOrderError
         import nncreach.cli as climod

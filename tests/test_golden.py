@@ -6,7 +6,7 @@ leaf, depth, verification and split counters included) is a behaviour
 change.  A digest below
 may change only together with a CHANGES.md note that says which change moved
 it and why the new tube is right.  The contraction figures and the
-``bounds.json`` digest at the end follow the same rule.
+``bounds.json`` and ``mc_report.json`` digests below follow the same rule.
 """
 
 import hashlib
@@ -286,6 +286,26 @@ def test_bounds_json_matches_golden_digest(tmp_path, name):
                      "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "bounds.json").read_bytes()).hexdigest()
     assert digest == GOLDEN_BOUNDS_SHA256[name]
+
+
+# sha256 of the mc_report.json that `nncreach mc` writes (200 trajectories,
+# the config's seed): its worst deficit pins the containment check's bits.
+# A digest here may change only under the rule in the module docstring.
+GOLDEN_MC_REPORT_SHA256 = {
+    ("di_adaptive_d3n1", ()):
+        "aa5ee2ce48ef216b02c705eabebf9bae48f0015ef0359e84b04177464f7c610e",
+    ("vehicle_adaptive_d2n1", ("horizon=0.5",)):
+        "7e96cfd1dc1bd95e44c188755f764c73b3b7a7129058a247367d02056062ac6a",
+}
+
+
+@pytest.mark.parametrize("name, overrides", sorted(GOLDEN_MC_REPORT_SHA256))
+def test_mc_report_matches_golden_digest(tmp_path, name, overrides):
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert cli.main(["mc", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(tmp_path), *sets]) == 0
+    digest = hashlib.sha256((tmp_path / "mc_report.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_MC_REPORT_SHA256[name, overrides]
 
 
 # Decomposition-only engine path: (disturbed, mode, depth_max, nn_depth_max,

@@ -5,6 +5,7 @@ import pytest
 
 from nncreach import (
     AlgorithmParams,
+    ContainmentReport,
     ContinuousClosedLoopModel,
     DiscreteLTIModel,
     DoubleIntegratorSystem,
@@ -13,6 +14,7 @@ from nncreach import (
     ToleranceVector,
     VehicleSystem,
     compute_reachable_set,
+    config,
     containment_check,
     get_system,
     hull_volume,
@@ -23,7 +25,7 @@ from nncreach import (
 from nncreach.intervals import interval_mul
 from nncreach.partition import StepStats
 
-from conftest import zero_network
+from conftest import CONFIGS, zero_network
 
 
 def _columnwise_cos_range(lo, hi):
@@ -251,6 +253,97 @@ class TestContainment:
         with pytest.raises(ValueError, match="time-grid"):
             containment_check(tube, np.zeros((1, 3, 2)))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_state_dimension_mismatch(self, di_net, di_box, n):
+        _, tube = self.make_tube(di_net, di_box)
+        with pytest.raises(ValueError, match="state-dimension mismatch"):
+            containment_check(tube, np.zeros((1, len(tube.times), n)))
+
+    @pytest.mark.parametrize("bad_point", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]])
+    def test_non_finite_point_is_violation(self, bad_point):
+        tube = manual_tube([[[[0.0, 0.0], [1.0, 1.0]]]])
+        report = containment_check(tube, np.array([[[0.5, 0.5]], [bad_point]]))
+        assert not report.ok
+        assert report.violations == 1
+        assert report.first_violation == (0, 1)
+        assert report.worst_deficit == np.inf
+
+    def test_finite_points_keep_their_deficit_beside_a_nan_point(self):
+        tube = manual_tube([[[[0.0, 0.0], [1.0, 1.0]]], [[[0.0, 0.0], [1.0, 1.0]]]])
+        traj = np.array([[[0.5, 0.25], [0.5, 0.5]], [[0.5, 0.5], [np.nan, 0.5]]])
+        report = containment_check(tube, traj)
+        assert (report.violations, report.first_violation) == (1, (1, 1))
+        assert report.worst_deficit == np.inf
+        assert containment_check(tube, traj[:1]).worst_deficit == -0.25
+
+    def test_per_coordinate_fold_matches_broadcast_formula(self):
+        # Half-integer grids with signed zeros put many points exactly on box
+        # faces, so deficits tie at +0.0 and -0.0 and the max/min order shows.
+        rng = np.random.default_rng(12)
+
+        def signed(a):
+            return a * rng.choice([-1.0, 1.0], size=a.shape)
+
+        zero_worst = 0
+        for _ in range(300):
+            n, K, count = (int(v) for v in rng.integers(1, [6, 4, 30]))
+            stacks = []
+            for _ in range(K):
+                B = int(rng.integers(1, 41))
+                lo = signed(rng.integers(0, 5, (B, n)) / 2.0)
+                hi = lo + rng.integers(0, 3, (B, n)) / 2.0
+                stacks.append(np.stack([lo, np.where(hi == 0, signed(hi), hi)], axis=1))
+            traj = signed(rng.integers(0, 6, (count, K, n)) / 2.0)
+            for k, stack in enumerate(stacks):
+                picked = stack[rng.integers(0, len(stack), count)]
+                on_face = picked[np.arange(count)[:, None], rng.integers(0, 2, (count, n)),
+                                 np.arange(n)]
+                pick = rng.random(count) < 0.7
+                traj[pick, k] = on_face[pick]
+            tube = manual_tube(stacks)
+            slack = float(rng.choice([1e-9, 0.0, 0.5]))
+            expected = broadcast_containment(tube, traj, slack)
+            assert repr(containment_check(tube, traj, slack)) == repr(expected)
+            zero_worst += expected.worst_deficit == 0.0
+        assert zero_worst >= 20
+
+
+def broadcast_containment(tube, traj, slack):
+    """Test oracle: the ``(B, count, n)`` broadcast form of the containment check."""
+    violations, worst, first = 0, -np.inf, None
+    for k, boxes in enumerate(tube.boxes):
+        pts = traj[:, k]
+        deficit = np.maximum(boxes[:, 0][:, None, :] - pts[None, :, :],
+                             pts[None, :, :] - boxes[:, 1][:, None, :]).max(axis=2)
+        best = deficit.min(axis=0)
+        worst = max(worst, float(best.max()))
+        bad = best > slack
+        if bad.any():
+            violations += int(bad.sum())
+            if first is None:
+                first = (k, int(np.argmax(bad)))
+    return ContainmentReport(violations, worst, first)
+
+
+def per_box_raster(boxes, resolution):
+    """Test oracle: the cell-centre raster of the union, one box at a time."""
+    lo, hi = boxes[:, 0, :2], boxes[:, 1, :2]
+    xmin, ymin = lo.min(axis=0)
+    xmax, ymax = hi.max(axis=0)
+    if xmax <= xmin or ymax <= ymin:
+        return 0.0
+    dx = (xmax - xmin) / resolution
+    dy = (ymax - ymin) / resolution
+    xs = xmin + (np.arange(resolution) + 0.5) * dx
+    ys = ymin + (np.arange(resolution) + 0.5) * dy
+    inside = np.zeros((resolution, resolution), dtype=bool)
+    for (x0, y0), (x1, y1) in zip(lo, hi):
+        mx = (xs >= x0) & (xs <= x1)
+        my = (ys >= y0) & (ys <= y1)
+        if mx.any() and my.any():
+            inside |= mx[:, None] & my[None, :]
+    return float(inside.sum()) * dx * dy
+
 
 def manual_tube(box_stacks, times=None):
     times = np.arange(len(box_stacks), dtype=float) if times is None else times
@@ -309,3 +402,40 @@ class TestVolumes:
     def test_degenerate_projection_is_zero(self):
         boxes = np.array([[[0.0, 0.0], [0.0, 1.0]]])
         assert union_area_raster(boxes) == 0.0
+
+    @pytest.mark.parametrize("resolution", [1, 7, 400, 1000])
+    def test_raster_matches_per_box_loop(self, resolution):
+        rng = np.random.default_rng(resolution)
+        for case in range(40):
+            m = int(rng.integers(1, 30))
+            # two point boxes at the frame's corners fix the hull, hence the
+            # cell centres, and cover no centre themselves
+            frame = np.sort(rng.uniform(-3, 3, size=(2, 2)), axis=0)
+            cells = [frame[0, a] + (np.arange(resolution) + 0.5)
+                     * ((frame[1, a] - frame[0, a]) / resolution) for a in range(2)]
+            lo = rng.uniform(frame[0], frame[1], size=(m, 2))
+            hi = lo + rng.uniform(0, 1, size=(m, 2)) * (frame[1] - lo)
+            for a in range(2):
+                # edges exactly on cell centres, on either side of the box
+                on_lo, on_hi = rng.random(m) < 0.4, rng.random(m) < 0.4
+                lo[on_lo, a] = rng.choice(cells[a], on_lo.sum())
+                hi[on_hi, a] = np.maximum(lo[on_hi, a], rng.choice(cells[a], on_hi.sum()))
+            flat = rng.random(m) < 0.15  # zero width along one axis
+            hi[flat, case % 2] = lo[flat, case % 2]
+            crossed = rng.random(m) < 0.1  # lo > hi: covers nothing
+            lo[crossed], hi[crossed] = hi[crossed], lo[crossed]
+            corners = np.stack([frame[[0, 0]], frame[[1, 1]]])
+            boxes = np.concatenate([np.stack([lo, hi], axis=1), corners])
+            if case % 4 == 0:  # two disjoint boxes in the frame's corners
+                boxes = corners
+                boxes[0, 1] += 0.25 * (frame[1] - frame[0])
+                boxes[1, 0] -= 0.25 * (frame[1] - frame[0])
+            assert union_area_raster(boxes, resolution=resolution) == \
+                per_box_raster(boxes, resolution)
+
+    def test_raster_matches_per_box_loop_on_shipped_tube(self):
+        exp = config.build_experiment(
+            config.ExperimentConfig.load(CONFIGS / "di_adaptive_d3n1.json"))
+        tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
+        for boxes in tube.boxes:
+            assert union_area_raster(boxes) == per_box_raster(boxes, 1000)

@@ -3,18 +3,19 @@
 The tracer wraps methods through the owning class's ``__dict__`` and skips
 a name that has gone missing, so a refactor that moves ``verify``,
 ``advance`` or ``refresh_control`` out of a class body only shows up as a
-reconciliation failure of a traced benchmark run.  This runs the reach
-and report stages of shipped configs, adaptive and uniform (the prebuilt
-tree), under the tracer and requires the traced counts to match the
-program's own counters, and the face evaluations to be seen, one per
-continuous refresh.
+reconciliation failure of a traced benchmark run.  This runs the reach,
+report and audit stages of shipped configs, adaptive and uniform (the
+prebuilt tree), under the tracer and requires the traced counts to match
+the program's own counters, the face evaluations to be seen, one per
+continuous refresh, and the raster and containment kernels to be seen
+where the tracer looks them up.
 """
 
 import importlib.util
 
 import pytest
 
-from nncreach import config, partition
+from nncreach import config, montecarlo, partition
 
 from conftest import CONFIGS, REPO
 
@@ -25,6 +26,9 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+TRAJECTORIES = 5
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -43,6 +47,9 @@ def test_traced_counts_reconcile(name, overrides, tmp_path):
         tube = partition.compute_reachable_set(exp.root_box, exp.params, exp.model)
         summary = config.summarize(exp, tube, 0.0)
         tube.write_csv(csv_path)
+        _, traj = montecarlo.sample_trajectories(exp.model, exp.root_box, TRAJECTORIES,
+                                                 exp.config.seed)
+        report = montecarlo.containment_check(tube, traj)
     csv_rows = csv_path.read_bytes().count(b"\n") - 1
     metrics = tracing.layer_metrics(tracer.spans, tracer.discarded, 1.0, 1.0, 0)
     continuous = isinstance(exp.model, partition.ContinuousClosedLoopModel)
@@ -56,3 +63,9 @@ def test_traced_counts_reconcile(name, overrides, tmp_path):
     # InclusionFunction call; the discrete embedding has no face caches
     assert metrics["bounds.face_eval_calls"] == (
         metrics["embedding.refresh_calls"] if continuous else 0)
+    # the audit and the union raster are traced through the names the
+    # benchmark calls: montecarlo's functions and config's module global
+    assert report.ok
+    assert metrics["montecarlo.points_checked"] == TRAJECTORIES * len(tube.times)
+    rasters = sum(span[tracing.NAME] == "volume.raster" for span in tracer.spans)
+    assert rasters == (1 if exp.model.n >= 2 else 0)
