@@ -177,16 +177,17 @@ class InclusionFunction:
         self.bounds = bounds
         self._Clp, self._Cln = _pos_neg(bounds.C_lo)
         self._Chp, self._Chn = _pos_neg(bounds.C_hi)
+        self._dom_lo = bounds.domain.lo - _DOMAIN_SLACK
+        self._dom_hi = bounds.domain.hi + _DOMAIN_SLACK
 
     @property
     def domain(self) -> IntervalVector:
         return self.bounds.domain
 
     def check_domain(self, lo, hi) -> None:
-        d = self.bounds.domain
         span_lo = np.minimum(lo, hi)
         span_hi = np.maximum(lo, hi)
-        if np.any(span_lo < d.lo - _DOMAIN_SLACK) or np.any(span_hi > d.hi + _DOMAIN_SLACK):
+        if (span_lo < self._dom_lo).any() or (span_hi > self._dom_hi).any():
             raise DomainError("query box not contained in the relaxation domain")
 
     def __call__(self, a, b, check: bool = True):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -70,8 +71,21 @@ def _load(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out_dir
 
 
+def _json_value(v):
+    """``v`` with every non-finite float written as ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    """Strict JSON: non-finite floats become strings, never bare ``Infinity``."""
+    text = json.dumps(_json_value(data), indent=1, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def cmd_reach(args) -> int:
@@ -111,7 +125,9 @@ def cmd_bench(args) -> int:
     (out_dir / "timing.csv").write_text("\n".join(lines) + "\n")
     mean = float(np.mean(timings))
     std = float(np.std(timings))
+    q1, median, q3 = np.percentile(timings, [25, 50, 75])
     print(f"bench: {reps} reps, {mean:.4f} +/- {std:.4f} s, "
+          f"median {median:.4f} s [quartiles {q1:.4f}, {q3:.4f}], "
           f"final_hull_volume={volumes[0]:.6g} -> {out_dir}")
     return EXIT_OK
 

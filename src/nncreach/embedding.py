@@ -304,10 +304,11 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         else:
             self.w_lo, self.w_hi = _require_pair(w_box, sys.q, "disturbance")
         self.incl: InclusionFunction | None = None
-        # per-interval face rows of the input and disturbance, passed to every
-        # extension call of the interval (so extensions must not write into them)
+        # face rows of the input (per refresh) and of the disturbance (per
+        # embedding), passed to every extension call (so extensions must not
+        # write into them)
         self._u_spans = None
-        self._w_rows = None
+        self._w_rows = tuple(np.tile(w, (2 * self.n, 1)) for w in (self.w_lo, self.w_hi))
 
     def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
                         inherited: InclusionFunction | None = None,
@@ -328,8 +329,6 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
             np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
             np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]),
         )
-        self._w_rows = (np.tile(self.w_lo, (2 * n, 1)),
-                        np.tile(self.w_hi, (2 * n, 1)))
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
@@ -404,9 +403,16 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
                         inherited: InclusionFunction | None = None,
                         interval_index: int = 0) -> None:
-        """Refresh the relaxation tuple and rebuild the split update matrices."""
-        self.incl = self._control_inclusion(box, reverify, net, inherited)
-        lb = self.incl.bounds
+        """Refresh the relaxation and the split update matrices built from it.
+
+        The domain check runs on every refresh; the update is rebuilt only
+        when the relaxation differs from the one it was built from.
+        """
+        incl = self._control_inclusion(box, reverify, net, inherited)
+        if incl is self.incl:
+            return
+        self.incl = incl
+        lb = incl.bounds
         M_lo = self.A + self._Bp @ lb.C_lo + self._Bn @ lb.C_hi
         M_hi = self.A + self._Bp @ lb.C_hi + self._Bn @ lb.C_lo
         self._update = (
@@ -421,7 +427,7 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
             raise RuntimeError("control caches not initialized; call refresh_control")
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise EmbeddingOrderError("discrete embedding step requires an ordered state")
         Mlp, Mln, Mhp, Mhn, blo, bhi = self._update
         new_lo = Mlp @ lo + Mln @ hi + blo

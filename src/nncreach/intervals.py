@@ -9,7 +9,7 @@ performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class IntervalVector:
         hi = _as_vector(self.hi, "hi")
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("state boxes must have finite endpoints")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box endpoints are crossed (lo > hi)")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -88,16 +88,24 @@ class ToleranceVector:
 
     ``inf`` removes the constraint on an axis, ``0`` makes any positive
     width a violation (see the partition engine for how both are used).
+    The divisor ``div`` (``eps`` with zeros replaced by 1) and the mask
+    ``hard`` of zero entries are computed once, for
+    :func:`weighted_inf_norm`.
     """
 
     eps: np.ndarray
+    div: np.ndarray = field(init=False, repr=False, compare=False)
+    hard: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eps = _as_vector(self.eps, "eps")
-        if np.any(np.isnan(eps)) or np.any(eps < 0):
+        eps = _as_vector(self.eps, "eps").copy()
+        if np.isnan(eps).any() or (eps < 0).any():
             raise ValueError("tolerances must be non-negative (inf allowed)")
-        eps.setflags(write=False)
-        object.__setattr__(self, "eps", eps)
+        hard = eps == 0
+        div = np.where(hard, 1.0, eps)
+        for name, a in (("eps", eps), ("div", div), ("hard", hard)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -109,22 +117,24 @@ def weighted_inf_norm(x, eps) -> float:
 
     An entry with infinite tolerance contributes 0.  A zero tolerance acts
     as a hard constraint: the result is ``inf`` as soon as the matching
-    component is nonzero, and 0 otherwise.
+    component is nonzero, and 0 otherwise.  ``eps`` is a
+    :class:`ToleranceVector` or anything it accepts.
+
+    One division by ``eps.div`` gives every entry its value: ``|x_i| / inf``
+    is ``+0.0``, and a hard axis divides by 1 before it is set to ``inf``.
     """
     x = _as_vector(x, "x")
-    e = eps.eps if isinstance(eps, ToleranceVector) else _as_vector(eps, "eps")
-    if x.shape != e.shape:
+    if not isinstance(eps, ToleranceVector):
+        eps = ToleranceVector(eps)
+    if x.shape != eps.eps.shape:
         raise ValueError("x and eps must have the same length")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     if x.size == 0:
         return 0.0
     ax = np.abs(x)
-    out = np.zeros_like(ax)
-    finite = np.isfinite(e) & (e > 0)
-    out[finite] = ax[finite] / e[finite]
-    zero = e == 0
-    out[zero & (ax > 0)] = np.inf
+    out = ax / eps.div
+    out[eps.hard & (ax > 0)] = np.inf
     return float(out.max())
 
 

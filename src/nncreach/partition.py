@@ -4,11 +4,12 @@ The engine keeps the partition of the initial set as one list of leaves
 ``(box, path)`` in tree order: ``path`` is the tuple of child indices from
 the whole initial box, so a leaf's depth is ``len(path)`` and sorting by
 path gives the list order.  Within every control interval each leaf
-integrates its own embedding; before committing to the full interval a
-leaf may integrate a short probe, extrapolate the interval width at the
-interval end from the observed growth ratio, and -- if the projected
-width violates the per-axis tolerance -- discard the probe and take its
-place in the list as ``2**n`` children that restart the interval.
+integrates the interval's one embedding, refreshed on its own box; before
+committing to the full interval a leaf may integrate a short probe,
+extrapolate the interval width at the interval end from the observed
+growth ratio, and -- if the projected width violates the per-axis
+tolerance -- discard the probe and take its place in the list as
+``2**n`` children that restart the interval.
 
 Network verification is decoupled from partitioning.  With
 ``nn = min(nn_depth_max, depth_max)``, the leaves sharing ``path[:nn]``
@@ -322,6 +323,7 @@ def _step_interval(leaves: list, j: int, params: AlgorithmParams, model):
     steps = model.interval_steps(j)
     out, trajs = [], []
     nn_calls = subdivisions = 0
+    emb = model.make_embedding()  # refreshed for every leaf
     for _, group in itertools.groupby(leaves, key=lambda leaf: leaf[1][:nn]):
         group = list(group)
         eff = model.verify(interval_hull(box for box, _ in group))
@@ -334,7 +336,6 @@ def _step_interval(leaves: list, j: int, params: AlgorithmParams, model):
             if eff is None:
                 eff = model.verify(box)
                 nn_calls += 1
-            emb = model.make_embedding()
             emb.refresh_control(box, reverify=False, inherited=eff, interval_index=j)
             probing = len(path) < params.depth_max
             k = _probe_steps(params.gamma, steps) if probing else steps

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -365,10 +366,13 @@ class TestCommandLine:
         out = tmp_path / "o"
         assert cli.main(["mc", "--config", str(path), "--out", str(out),
                          "--reps", "3"]) == 2
-        report = json.loads((out / "mc_report.json").read_text())
+        def reject(name):
+            raise AssertionError(f"mc_report.json holds the bare constant {name}")
+
+        report = json.loads((out / "mc_report.json").read_text(), parse_constant=reject)
         assert report["violations"] == 1
         assert report["first_violation"] == [2, 1]
-        assert report["worst_deficit"] == np.inf
+        assert report["worst_deficit"] == "inf"
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from nncreach.embedding import EmbeddingOrderError
@@ -382,7 +386,7 @@ class TestCommandLine:
         assert cli.main(["reach", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 3
 
-    def test_bench_reports_identical_volumes(self, tmp_path):
+    def test_bench_reports_identical_volumes(self, tmp_path, capsys):
         path = write_config(tmp_path, di_config_dict())
         out = tmp_path / "out"
         assert cli.main(["bench", "--config", str(path), "--out", str(out),
@@ -391,6 +395,19 @@ class TestCommandLine:
         assert rows[0] == "rep,seconds,final_hull_volume"
         vols = {row.split(",")[2] for row in rows[1:]}
         assert len(rows) == 4 and len(vols) == 1
+        secs = sorted(float(row.split(",")[1]) for row in rows[1:])
+        m = re.fullmatch(
+            r"bench: 3 reps, (\S+) \+/- (\S+) s, median (\S+) s "
+            r"\[quartiles (\S+), (\S+)\], final_hull_volume=\S+ -> .*\n",
+            capsys.readouterr().out)
+        assert m, "bench line not in the documented form"
+        mean, std, median, q1, q3 = map(float, m.groups())
+        # three reps: the quartiles lie halfway between neighbouring reps
+        assert median == pytest.approx(secs[1], abs=1e-4)
+        assert q1 == pytest.approx((secs[0] + secs[1]) / 2, abs=1e-4)
+        assert q3 == pytest.approx((secs[1] + secs[2]) / 2, abs=1e-4)
+        assert mean == pytest.approx(sum(secs) / 3, abs=1e-4)
+        assert q1 <= median <= q3 and std >= 0.0
 
     def test_bounds_reports_dominance(self, tmp_path):
         path = write_config(tmp_path, di_config_dict())

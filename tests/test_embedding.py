@@ -485,6 +485,90 @@ class TestDiscreteLTIEmbedding:
             emb.step(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
 
 
+class TestReusedEmbedding:
+    """An embedding refreshed for leaf after leaf keeps no state from the
+    earlier leaves: the engine builds one per interval."""
+
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    B = np.array([[0.5], [1.0]])
+
+    @staticmethod
+    def bits(traj):
+        return np.asarray(traj).tobytes()
+
+    def test_discrete_update_follows_the_relaxation(self, di_net, di_box):
+        from nncreach import crown_bounds, uniform_divide
+        quarter = uniform_divide(di_box)[1]
+        relax = {"A": (make_inclusion(crown_bounds(di_net, di_box)), di_box),
+                 "B": (make_inclusion(crown_bounds(di_net, quarter)), quarter)}
+        reused = DiscreteLTIEmbedding(self.A, self.B)
+        for name in "ABA":
+            incl, box = relax[name]
+            reused.refresh_control(box, reverify=False, inherited=incl)
+            fresh = DiscreteLTIEmbedding(self.A, self.B)
+            fresh.refresh_control(box, reverify=False, inherited=incl)
+            assert reused.incl is incl
+            assert self.bits(reused.integrate(box.lo, box.hi, 1.0, 4)) == \
+                self.bits(fresh.integrate(box.lo, box.hi, 1.0, 4)), name
+
+    def test_same_relaxation_still_checks_the_domain(self, di_net, di_box):
+        from nncreach import crown_bounds
+        incl = make_inclusion(crown_bounds(di_net, di_box))
+        emb = DiscreteLTIEmbedding(self.A, self.B)
+        emb.refresh_control(di_box, reverify=False, inherited=incl)
+        outside = IntervalVector(di_box.lo, di_box.hi + 0.1)
+        for inherited in (incl, None):  # passed again, or kept from the last refresh
+            with pytest.raises(DomainError, match="not contained"):
+                emb.refresh_control(outside, reverify=False, inherited=inherited)
+        assert emb.incl is incl
+
+    def test_closed_loop_field_matches_fresh_embeddings(self, vehicle_net, vehicle_box):
+        from nncreach import crown_bounds, uniform_divide
+        sys = VehicleSystem().open_loop()
+        incl = make_inclusion(crown_bounds(vehicle_net, vehicle_box))
+        children = uniform_divide(vehicle_box)
+        reused = ClosedLoopEmbedding(sys)
+        for box in (children[0], children[13], vehicle_box):
+            reused.refresh_control(box, reverify=False, inherited=incl)
+            fresh = ClosedLoopEmbedding(sys)
+            fresh.refresh_control(box, reverify=False, inherited=incl)
+            assert self.bits(reused.field(box.lo, box.hi)) == \
+                self.bits(fresh.field(box.lo, box.hi))
+            assert self.bits(reused.integrate(box.lo, box.hi, 0.01, 5)) == \
+                self.bits(fresh.integrate(box.lo, box.hi, 0.01, 5))
+
+    def test_discrete_update_built_once_per_relaxation(self, di_net, di_box, monkeypatch):
+        from nncreach import (AlgorithmParams, DiscreteLTIModel, DoubleIntegratorSystem,
+                              ToleranceVector, compute_reachable_set)
+        di = DoubleIntegratorSystem()
+        model = DiscreteLTIModel(di.A, di.B, di_net, horizon_steps=3)
+        made = []
+        make = model.make_embedding
+        model.make_embedding = lambda: made.append(make()) or made[-1]
+        refreshes = []  # (embedding, relaxation, update) after every refresh
+        refresh = DiscreteLTIEmbedding.refresh_control
+
+        def recording(emb, *args, **kwargs):
+            refresh(emb, *args, **kwargs)
+            refreshes.append((emb, emb.incl, emb._update))
+
+        monkeypatch.setattr(DiscreteLTIEmbedding, "refresh_control", recording)
+        params = AlgorithmParams(eps=ToleranceVector(np.zeros(2)), depth_max=3,
+                                 nn_depth_max=1)
+        stats = compute_reachable_set(di_box, params, model).interval_stats
+        assert len(made) == len(stats)  # one embedding per interval
+        for emb, st in zip(made, stats):
+            seen = [(incl, update) for e, incl, update in refreshes if e is emb]
+            assert len(seen) == st.leaf_count + st.subdivisions  # a split leaf refreshed once
+            builds = [update for k, (incl, update) in enumerate(seen)
+                      if k == 0 or update is not seen[k - 1][1]]
+            relaxations = [incl for k, (incl, _) in enumerate(seen)
+                           if k == 0 or incl is not seen[k - 1][0]]
+            # every verified relaxation is built once and kept while it is reused
+            assert len(builds) == len(relaxations) == st.nn_calls
+            assert all((a is b) == (u is v) for (a, u), (b, v) in zip(seen, seen[1:]))
+
+
 class TestStackedOpenField:
     """``open_field`` on ``(m, ·)`` row stacks gives each row's bits."""
 

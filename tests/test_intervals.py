@@ -77,6 +77,52 @@ class TestWeightedInfNorm:
     def test_empty_vector(self):
         assert weighted_inf_norm(np.zeros(0), np.zeros(0)) == 0.0
 
+    @staticmethod
+    def masked_oracle(x, e):
+        """The per-call mask formula: divide where ``0 < eps < inf`` only."""
+        x = np.asarray(x, dtype=float)
+        e = np.asarray(e, dtype=float)
+        if x.size == 0:
+            return 0.0
+        ax = np.abs(x)
+        out = np.zeros_like(ax)
+        finite = np.isfinite(e) & (e > 0)
+        out[finite] = ax[finite] / e[finite]
+        out[(e == 0) & (ax > 0)] = np.inf
+        return float(out.max())
+
+    def test_divisor_form_matches_mask_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        kinds = np.array([0.0, INF, 5e-324, 1e-300, 1e-12, 1.0])
+        for _ in range(2000):
+            n = int(rng.integers(0, 7))
+            eps = rng.uniform(0.01, 10.0, size=n)
+            pick = rng.random(n) < 0.6
+            eps[pick] = rng.choice(kinds, size=int(pick.sum()))
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-320, 3, size=n)
+            x[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+            with np.errstate(over="ignore"):  # a tiny eps may overflow to inf
+                want = self.masked_oracle(x, eps).hex()
+                tol = ToleranceVector(eps)
+                assert weighted_inf_norm(x, tol).hex() == want, (x, eps)
+                assert weighted_inf_norm(x, eps).hex() == want, (x, eps)
+                assert weighted_inf_norm(list(x), list(eps)).hex() == want
+
+    def test_raw_eps_is_validated_and_left_writable(self):
+        eps = np.array([1.0, 0.0])
+        assert weighted_inf_norm([0.5, 0.0], eps) == 0.5
+        assert eps.flags.writeable
+        with pytest.raises(ValueError, match="non-negative"):
+            weighted_inf_norm([1.0], [-1.0])
+        with pytest.raises(ValueError, match="same length"):
+            weighted_inf_norm([1.0, 2.0], ToleranceVector([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, INF, -INF])
+    def test_nonfinite_x_raises(self, bad):
+        for eps in ([1.0, 0.0, INF], ToleranceVector([1.0, 0.0, INF])):
+            with pytest.raises(ValueError, match="x must be finite"):
+                weighted_inf_norm([0.0, bad, 1.0], eps)
+
 
 class TestMatrixMeasure:
     def test_identity(self):
