@@ -21,11 +21,13 @@ Those face intervals stay frozen while the embedding is integrated
 across the control interval.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
-``n + i`` at its upper end) is built by ``_face_rows`` and read back by
-``_face_field``.  Every field goes through ``_extension_face_field``, one
-extension call on those rows, whichever of the two a plant supplies: the
-open-loop field :meth:`ClosedLoopEmbedding.open_field` repeats its input
-and disturbance pairs on each face block, and the closed-loop
+``n + i`` at its upper end) is built by ``_face_rows``, as one gather from
+the stacked endpoints through an index table made once per dimension, and
+read back by ``_face_field``.  Every field goes through
+``_extension_face_field``, one extension call on those rows, whichever of
+the two a plant supplies: the open-loop field
+:meth:`ClosedLoopEmbedding.open_field` repeats its input and disturbance
+pairs on each face block, and the closed-loop
 :meth:`ClosedLoopEmbedding.field` passes the per-face control intervals
 frozen at the control instant.  Only the reference
 :func:`build_tight_decomposition` lays out faces on its own.
@@ -33,6 +35,7 @@ frozen at the control instant.  Only the reference
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -198,23 +201,38 @@ def _require_pair(pair, dim, what):
     return lo, hi
 
 
+@functools.cache
+def _face_index(n: int) -> np.ndarray:
+    """Gather table of :func:`_face_rows` for dimension ``n``.
+
+    Entry ``[k, r, j]`` is the position, in the endpoints stacked as
+    ``[span_lo, span_hi, a, b]``, of coordinate ``j`` of face row ``r`` in
+    ``Xlo`` (``k = 0``) or ``Xhi`` (``k = 1``).
+    """
+    cols = np.arange(n)
+    index = np.empty((2, 2 * n, n), dtype=np.intp)
+    index[0] = cols
+    index[1] = n + cols
+    index[:, cols, cols] = 2 * n + cols
+    index[:, n + cols, cols] = 3 * n + cols
+    index.setflags(write=False)
+    return index
+
+
 def _face_rows(span_lo, span_hi, a, b):
     """The ``2n`` faces of a span as row-stacked boxes ``(Xlo, Xhi)``.
 
     Row ``i`` is the span with coordinate ``i`` pinned at ``a_i``, row
     ``n + i`` the span with it pinned at ``b_i``.  The pins may carry
     leading axes, ``(..., n)``, giving ``(..., 2n, n)`` face blocks; the
-    spans broadcast against those blocks, so a stack of spans is passed as
-    ``(..., 1, n)``.
+    spans come in the pins' shape or as ``(..., 1, n)``, the form that
+    broadcasts against the blocks.  Both blocks are one gather from the
+    stacked endpoints, so their entries are exact copies.
     """
-    lead, n = a.shape[:-1], a.shape[-1]
-    out = (np.empty(lead + (2 * n, n)), np.empty(lead + (2 * n, n)))
-    for X, span in zip(out, (span_lo, span_hi)):
-        X[...] = span
-        flat = X.reshape(lead + (-1,))  # a view, so the diagonals are pinned in place
-        flat[..., :n * n:n + 1] = a
-        flat[..., n * n::n + 1] = b
-    return out
+    ends = np.concatenate((span_lo.reshape(a.shape), span_hi.reshape(a.shape), a, b),
+                          axis=-1)
+    faces = ends.take(_face_index(a.shape[-1]), axis=-1)
+    return faces[..., 0, :, :], faces[..., 1, :, :]
 
 
 def _face_field(flo, fhi) -> np.ndarray:
@@ -274,9 +292,10 @@ class _FrozenControlEmbedding:
         traj = np.empty((steps + 1, 2, self.n))
         traj[0, 0] = lo
         traj[0, 1] = hi
+        step_into = self._step_into
         for k in range(steps):
             nxt = traj[k + 1]
-            self._step_into(traj[k], nxt, dt)
+            step_into(traj[k], nxt, dt)
             # written so that a NaN width fails the check too
             if not (nxt[1] - nxt[0] >= -_ORDER_TOL).all():
                 raise EmbeddingOrderError(

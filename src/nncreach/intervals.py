@@ -28,8 +28,13 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_vector(x, name="vector") -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+def _as_vector(x, name="vector", copy=False) -> np.ndarray:
+    """``x`` as a 1-D float array; a fresh copy when ``copy`` is true.
+
+    Without ``copy`` a float array comes back as itself.  A copy may be
+    frozen without touching the caller's array.
+    """
+    a = np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     return a
@@ -37,14 +42,18 @@ def _as_vector(x, name="vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntervalVector:
-    """Axis-aligned box ``[lo, hi]`` with finite endpoints and ``lo <= hi``."""
+    """Axis-aligned box ``[lo, hi]`` with finite endpoints and ``lo <= hi``.
+
+    The endpoints are stored as read-only copies, so the arrays a caller
+    passes in stay writable and later writes to them do not reach the box.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _as_vector(self.lo, "lo")
-        hi = _as_vector(self.hi, "hi")
+        lo = _as_vector(self.lo, "lo", copy=True)
+        hi = _as_vector(self.hi, "hi", copy=True)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same length")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -98,7 +107,7 @@ class ToleranceVector:
     hard: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eps = _as_vector(self.eps, "eps").copy()
+        eps = _as_vector(self.eps, "eps", copy=True)
         if np.isnan(eps).any() or (eps < 0).any():
             raise ValueError("tolerances must be non-negative (inf allowed)")
         hard = eps == 0
@@ -214,21 +223,37 @@ def interval_mul(alo, ahi, blo, bhi):
     return lo, hi
 
 
+# cos reaches its minimum -1 at pi + 2 k pi and its maximum +1 at 2 k pi:
+# one row per extremum, shift and value
+_COS_SHIFTS = np.array([[math.pi], [0.0]])
+_COS_PEAKS = np.array([[-1.0], [1.0]])
+
+
+def _cos_range(x) -> np.ndarray:
+    """Exact ranges of cos over stacked intervals ``[x[0], x[1]]``.
+
+    ``x`` is a ``(2, ...)`` float array of lower and upper ends; the result
+    is stacked the same way.  One ``cos`` covers both ends, and one
+    ``floor``/``ceil`` pair over ``q = (x - shift) / 2 pi`` tests both
+    extrema: an extremum lies in the interval iff ``floor(q_hi) >=
+    ceil(q_lo)``.  As ``x - 0.0`` is ``x`` exactly, every quotient has the
+    bits of the plain ``x / 2 pi`` and ``(x - pi) / 2 pi``.
+    """
+    shape = x.shape
+    x = x.reshape(2, -1)
+    c = np.cos(x)
+    q = (x[:, None] - _COS_SHIFTS) / _TWO_PI  # (end, extremum, element)
+    out = np.empty_like(c)
+    np.minimum(c[0], c[1], out=out[0])
+    np.maximum(c[0], c[1], out=out[1])
+    np.copyto(out, _COS_PEAKS, where=np.floor(q[1]) >= np.ceil(q[0]))
+    return out.reshape(shape)
+
+
 def interval_cos(lo, hi):
-    """Exact range of cos over ``[lo, hi]`` (elementwise)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    clo = np.cos(lo)
-    chi = np.cos(hi)
-    # fresh arrays (0-d on scalar input), so the extrema are written in place
-    out_lo = np.asarray(np.minimum(clo, chi))
-    out_hi = np.asarray(np.maximum(clo, chi))
-    # cos attains +1 at even multiples of pi, -1 at odd multiples
-    has_max = np.floor(hi / _TWO_PI) >= np.ceil(lo / _TWO_PI)
-    has_min = np.floor((hi - math.pi) / _TWO_PI) >= np.ceil((lo - math.pi) / _TWO_PI)
-    np.copyto(out_hi, 1.0, where=has_max)
-    np.copyto(out_lo, -1.0, where=has_min)
-    return out_lo, out_hi
+    """Exact range of cos over ``[lo, hi]`` (elementwise; 0-d arrays on scalar ends)."""
+    out = _cos_range(np.array(np.broadcast_arrays(lo, hi), dtype=float))
+    return out[0, ...], out[1, ...]
 
 
 def interval_sin(lo, hi):

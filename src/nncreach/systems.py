@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .embedding import OpenLoopSystem
-from .intervals import _matvec, interval_cos, interval_mul
+from .intervals import _cos_range, _matvec, interval_mul
 from .partition import DiscreteLTIModel
 
 __all__ = [
@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+# shifts of the vehicle heading whose cos ranges are its cos and sin ranges;
+# t - 0.0 is t exactly
+_TRIG_SHIFTS = np.array([[0.0], [_HALF_PI]])
 _WHEEL_MARGIN = 1e-9
 
 
@@ -62,9 +65,11 @@ class VehicleSystem:
         self.u1_max = float(u1_max)
         self.u2_max = float(u2_max)
         self._k = self.l_f / (self.l_f + self.l_r)
-        # saturation limits of the (u1, u2) rows of the extension's input block
-        self._u_lim = np.array([[self.u1_max], [self.u2_max]])
+        # saturation limits of the (u1, u2) columns of the extension's inputs
+        self._u_lim = np.array([self.u1_max, self.u2_max])
         self._u_neg_lim = -self._u_lim
+        # divisors of the speed for the factors (v, v, v / l_r); v / 1.0 is exact
+        self._factor_divisors = np.array([[1.0], [1.0], [self.l_r]])
 
     def beta(self, u2):
         u2 = np.clip(np.asarray(u2, dtype=float), -self.u2_max, self.u2_max)
@@ -89,41 +94,27 @@ class VehicleSystem:
 
         The work is laid out as a few stacked arrays, so that the cost of a
         call is a fixed number of numpy operations whatever the row count:
-        both input ends are saturated as one ``(2, 2m)`` block, the cos and
-        sin ranges of the heading come from one :func:`interval_cos` over
-        ``[t, t - pi/2]``, and the three products share one
-        :func:`interval_mul`.
+        both input ends are saturated as one ``(2, m, 2)`` block, the cos and
+        sin ranges of the heading come from one cos range over the stacked
+        ends of ``[t, t - pi/2]``, and the three products share one
+        :func:`interval_mul` over ``(3, m)`` stacks.  Both enclosure ends
+        are views of one array.
         """
-        m = Xlo.shape[0]
-        # rows (u1, u2), columns (lower ends | upper ends)
-        U = np.concatenate((Ulo.T, Uhi.T), axis=1)
-        U = np.minimum(np.maximum(U, self._u_neg_lim), self._u_lim)
-        b = np.arctan(self._k * np.tan(U[1]))
-        # heading plus slip: row 0 lower ends, row 1 upper ends; the right
-        # half is shifted by -pi/2 so that cos there is the sin range
-        t = np.empty((2, 2 * m))
-        np.add(Xlo[:, 2], b[:m], out=t[0, :m])
-        np.add(Xhi[:, 2], b[m:], out=t[1, :m])
-        np.subtract(t[:, :m], _HALF_PI, out=t[:, m:])
-        trig_lo, trig_hi = interval_cos(t[0], t[1])
-        # factors of (f_0, f_1, f_2) = (v cos, v sin, v / l_r sin(beta));
-        # beta stays in (-pi/2, pi/2) where sin is increasing
-        a = np.empty((2, 3, m))
-        a[0, :2] = Xlo[:, 3]
-        a[1, :2] = Xhi[:, 3]
-        np.divide(a[:, 0], self.l_r, out=a[:, 2])
-        c = np.empty((2, 3, m))
-        c[0, :2] = trig_lo.reshape(2, m)
-        c[1, :2] = trig_hi.reshape(2, m)
-        np.sin(b.reshape(2, m), out=c[:, 2])
-        prod_lo, prod_hi = interval_mul(a[0], a[1], c[0], c[1])
-        flo = np.empty_like(Xlo)
-        fhi = np.empty_like(Xhi)
-        flo[:, :3] = prod_lo.T
-        fhi[:, :3] = prod_hi.T
-        flo[:, 3] = U[0, :m]
-        fhi[:, 3] = U[0, m:]
-        return flo, fhi
+        # (end, row, input) saturated inputs and (end, row) slip angles
+        U = np.minimum(np.maximum(np.array((Ulo, Uhi)), self._u_neg_lim), self._u_lim)
+        b = np.arctan(self._k * np.tan(U[..., 1]))
+        # (end, cos | sin, row) heading plus slip: cos of t - pi/2 is the sin range
+        x = np.array((Xlo[:, 2:], Xhi[:, 2:]))
+        t = (x[..., 0] + b)[:, None] - _TRIG_SHIFTS
+        # factors of (f_0, f_1, f_2) = (v cos, v sin, v / l_r sin(beta)),
+        # stacked (end, component, row); beta stays in (-pi/2, pi/2), where
+        # sin is increasing
+        a = x[:, None, :, 1] / self._factor_divisors
+        c = np.concatenate((_cos_range(t), np.sin(b)[:, None]), axis=1)
+        prod = np.array(interval_mul(a[0], a[1], c[0], c[1]))
+        f = np.concatenate((prod, U[:, None, :, 0]), axis=1)
+        f = f.transpose(0, 2, 1)
+        return f[0], f[1]
 
     def open_loop(self) -> OpenLoopSystem:
         return OpenLoopSystem(self.n, self.p, self.q, self.f,

@@ -19,6 +19,8 @@ from nncreach import (
     make_inclusion,
 )
 
+from nncreach.embedding import _face_rows
+
 from conftest import zero_network
 
 
@@ -567,6 +569,67 @@ class TestReusedEmbedding:
             # every verified relaxation is built once and kept while it is reused
             assert len(builds) == len(relaxations) == st.nn_calls
             assert all((a is b) == (u is v) for (a, u), (b, v) in zip(seen, seen[1:]))
+
+
+def loop_face_rows(span_lo, span_hi, a, b):
+    """The face layout written span by span, then diagonal by diagonal (oracle)."""
+    lead, n = a.shape[:-1], a.shape[-1]
+    out = (np.empty(lead + (2 * n, n)), np.empty(lead + (2 * n, n)))
+    for X, span in zip(out, (span_lo, span_hi)):
+        X[...] = span
+        flat = X.reshape(lead + (-1,))  # a view, so the diagonals are pinned in place
+        flat[..., :n * n:n + 1] = a
+        flat[..., n * n::n + 1] = b
+    return out
+
+
+class TestFaceRows:
+    """The gathered face blocks are bit copies of the diagonal-write layout."""
+
+    @staticmethod
+    def signed_zeros(rng, x):
+        """``x`` with about a third of its entries set to ``+0.0`` or ``-0.0``."""
+        x = x.copy()
+        hit = rng.uniform(size=x.shape) < 0.35
+        x[hit] = np.where(rng.uniform(size=x.shape) < 0.5, 0.0, -0.0)[hit]
+        return x
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_span(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            lo = self.signed_zeros(rng, rng.normal(size=n))
+            hi = lo + self.signed_zeros(rng, rng.uniform(size=n))
+            # the closed loop pins a box at its own ends
+            self.assert_same(_face_rows(lo, hi, lo, hi), loop_face_rows(lo, hi, lo, hi))
+            # crossed pins, as finite differencing passes them, spanned as (1, n)
+            a, b = lo, self.signed_zeros(rng, lo + rng.normal(size=n))
+            span = (np.minimum(a, b)[None], np.maximum(a, b)[None])
+            self.assert_same(_face_rows(*span, a, b), loop_face_rows(*span, a, b))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stacked_spans(self, n):
+        rng = np.random.default_rng(50 + n)
+        for L in (1, 2, 7):
+            a = self.signed_zeros(rng, rng.normal(size=(L, n)))
+            b = self.signed_zeros(rng, a + rng.normal(size=(L, n)))  # crossed on some axes
+            span = (np.minimum(a, b)[:, None, :], np.maximum(a, b)[:, None, :])
+            got = _face_rows(*span, a, b)
+            self.assert_same(got, loop_face_rows(*span, a, b))
+            assert got[0].shape == (L, 2 * n, n)
+
+    def test_inputs_left_alone(self):
+        lo, hi = np.array([-0.0, 1.0, 2.0]), np.array([0.0, 3.0, 2.0])
+        before = lo.tobytes(), hi.tobytes()
+        Xlo, Xhi = _face_rows(lo, hi, lo, hi)
+        Xlo[...] = Xhi[...] = 7.0
+        assert (lo.tobytes(), hi.tobytes()) == before
 
 
 class TestStackedOpenField:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from nncreach.intervals import (
     IntervalVector,
+    _as_vector,
     ToleranceVector,
     interval_cos,
     interval_hull,
@@ -14,6 +17,7 @@ from nncreach.intervals import (
 )
 
 from conftest import random_box
+from test_models import _columnwise_cos_range
 
 INF = np.inf
 
@@ -37,10 +41,26 @@ class TestIntervalVector:
         with pytest.raises(ValueError):
             box.lo[0] = 5.0
 
+    def test_caller_arrays_stay_writable(self):
+        lo, hi = np.zeros(2), np.ones(2)
+        box = IntervalVector(lo, hi)
+        lo[0] = 0.5
+        hi[1] = 2.0
+        assert box.lo.tolist() == [0.0, 0.0] and box.hi.tolist() == [1.0, 1.0]
+        assert not (box.lo.flags.writeable or box.hi.flags.writeable)
+        with pytest.raises(ValueError):
+            box.hi[0] = 5.0
+
 
 class TestToleranceVector:
     def test_zero_and_inf_legal(self):
         ToleranceVector(np.array([0.0, INF, 1.0]))
+
+    def test_caller_array_stays_writable(self):
+        eps = np.array([0.0, INF, 1.0])
+        tol = ToleranceVector(eps)
+        eps[2] = 2.0
+        assert tol.eps.tolist() == [0.0, INF, 1.0]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -50,6 +70,14 @@ class TestToleranceVector:
 class TestWeightedInfNorm:
     def test_reduces_to_max_norm(self):
         assert weighted_inf_norm([1.0, 2.0], [1.0, 1.0]) == 2.0
+
+    def test_float_array_taken_without_copy(self):
+        x = np.array([1.0, -3.0])
+        assert _as_vector(x, "x") is x
+        assert weighted_inf_norm(x, [1.0, 2.0]) == 1.5
+        assert x.flags.writeable and x.tolist() == [1.0, -3.0]
+        copied = _as_vector(x, "x", copy=True)
+        assert copied is not x and not np.shares_memory(copied, x)
 
     def test_diagonal_scaling(self):
         assert weighted_inf_norm([1.0, 2.0], [2.0, 4.0]) == 0.5
@@ -237,3 +265,50 @@ class TestTrigRanges:
             vals = np.outer(np.linspace(a[0], a[1], 50),
                             np.linspace(b[0], b[1], 50))
             assert lo <= vals.min() + 1e-12 and hi >= vals.max() - 1e-12
+
+
+class TestStackedCosRangeBits:
+    """The stacked cos range keeps the bits of the plain formula."""
+
+    @staticmethod
+    def trig_cases():
+        """Ends at multiples of pi/2 and 2 pi, one ulp either side, signed
+        zeros, and widths from 0 to beyond 2 pi."""
+        marks = np.concatenate([0.5 * math.pi * np.arange(-9, 10),
+                                2.0 * math.pi * np.arange(-3, 4), [0.0, -0.0]])
+        ends = np.concatenate([marks, np.nextafter(marks, INF), np.nextafter(marks, -INF)])
+        widths = np.array([0.0, 5e-324, 1e-12, 0.3, 0.5 * math.pi, math.pi,
+                           2.0 * math.pi, np.nextafter(2.0 * math.pi, INF), 7.5])
+        lo = np.repeat(ends, widths.size)
+        hi = lo + np.tile(widths, ends.size)
+        # and upper ends on the marks, reached from below
+        lo2 = np.repeat(marks, widths.size) - np.tile(widths, marks.size)
+        hi2 = np.repeat(marks, widths.size)
+        return np.concatenate([lo, lo2, [-0.0, 0.0]]), np.concatenate([hi, hi2, [0.0, -0.0]])
+
+    @pytest.mark.parametrize("fn,shift", [(interval_cos, 0.0), (interval_sin, 0.5 * math.pi)])
+    def test_trig_ranges_match_plain_formula(self, fn, shift):
+        lo, hi = self.trig_cases()
+        assert (lo <= hi).all()
+        before = lo.tobytes(), hi.tobytes()
+        want = _columnwise_cos_range(lo - shift, hi - shift)
+        got = fn(lo, hi)
+        assert (lo.tobytes(), hi.tobytes()) == before
+        for g, w in zip(got, want):
+            assert g.shape == lo.shape and g.tobytes() == w.tobytes()
+        # a (k, m) stack and read-only inputs give the same bits
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        got = fn(lo[:-2].reshape(-1, 9), hi[:-2].reshape(-1, 9))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w[:-2].tobytes()
+
+    @pytest.mark.parametrize("fn,shift", [(interval_cos, 0.0), (interval_sin, 0.5 * math.pi)])
+    def test_scalar_ends_give_0d_arrays(self, fn, shift):
+        lo, hi = self.trig_cases()
+        for a, b in zip(lo[::37], hi[::37]):
+            got = fn(float(a), float(b))
+            want = _columnwise_cos_range(np.float64(a) - shift, np.float64(b) - shift)
+            for g, w in zip(got, want):
+                assert isinstance(g, np.ndarray) and g.shape == ()
+                assert g.tobytes() == np.asarray(w).tobytes()
