@@ -46,8 +46,8 @@ def _pos_neg(M: np.ndarray):
     return np.maximum(M, 0.0), np.minimum(M, 0.0)
 
 
-def _affine_interval(W, b, lo, hi):
-    Wp, Wn = _pos_neg(W)
+def _affine_interval(layer, lo, hi):
+    Wp, Wn, b = layer.Wp, layer.Wn, layer.bias
     return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
 
 
@@ -70,7 +70,7 @@ def _preactivation_bounds(net: MLPNetwork, box: IntervalVector):
     lo, hi = box.lo, box.hi
     pre = []
     for layer in net.layers:
-        zlo, zhi = _affine_interval(layer.weights, layer.bias, lo, hi)
+        zlo, zhi = _affine_interval(layer, lo, hi)
         pre.append((zlo, zhi))
         lo, hi = _activation_interval(layer.activation, zlo, zhi)
     return pre

@@ -23,13 +23,14 @@ across the control interval.
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows``, as one gather from
 the stacked endpoints through an index table made once per dimension, and
-read back by ``_face_field``.  Every field goes through
-``_extension_face_field``, one extension call on those rows, whichever of
-the two a plant supplies: the open-loop field
-:meth:`ClosedLoopEmbedding.open_field` repeats its input and disturbance
-pairs on each face block, and the closed-loop
+read back by ``_face_field``.  Every field goes through ``_faces_field``,
+one extension call on those rows, whichever of the two a plant supplies:
+the open-loop field :meth:`ClosedLoopEmbedding.open_field` repeats its
+input and disturbance pairs on each face block, and the closed-loop
 :meth:`ClosedLoopEmbedding.field` passes the per-face control intervals
-frozen at the control instant.  Only the reference
+frozen at the control instant.  A closed-loop state is pinned at its own
+ends, so its faces are gathered straight from the flat state ``[lo, hi]``
+through the same table taken modulo ``2n``.  Only the reference
 :func:`build_tight_decomposition` lays out faces on its own.
 """
 
@@ -245,21 +246,28 @@ def _face_field(flo, fhi) -> np.ndarray:
     return np.concatenate([flo.diagonal(0, -2, -1), fhi.diagonal(-n, -2, -1)], axis=-1)
 
 
+def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, u_rows, w_rows) -> np.ndarray:
+    """Embedding field from one extension call on face blocks ``(Xlo, Xhi)``.
+
+    ``u_rows`` and ``w_rows`` are ordered ``(lo, hi)`` pairs of input and
+    disturbance rows, one row per face row; ``(m, 2n, n)`` blocks go to the
+    extension as one ``(m * 2n, n)`` call.
+    """
+    rows = u_rows[0].shape[0]
+    flo, fhi = sys._face_extension(Xlo.reshape(rows, sys.n), Xhi.reshape(rows, sys.n),
+                                   *u_rows, *w_rows)
+    return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
+
+
 def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
                           u_rows, w_rows) -> np.ndarray:
     """Embedding field from one extension call on the faces.
 
     The faces are :func:`_face_rows` of the state span pinned at ``a`` and
-    ``b``; ``u_rows`` and ``w_rows`` are ordered ``(lo, hi)`` pairs of
-    input and disturbance rows, one row per face row.  With ``(m, ·)`` pin
-    stacks (spans as ``(m, 1, n)``) the ``m`` face blocks go to the
-    extension as one ``(m * 2n, n)`` call.
+    ``b`` (see :func:`_faces_field` for the rows); with ``(m, ·)`` pin
+    stacks the spans come as ``(m, 1, n)``.
     """
-    Xlo, Xhi = _face_rows(span_lo, span_hi, a, b)
-    rows = u_rows[0].shape[0]
-    flo, fhi = sys._face_extension(Xlo.reshape(rows, sys.n), Xhi.reshape(rows, sys.n),
-                             *u_rows, *w_rows)
-    return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
+    return _faces_field(sys, *_face_rows(span_lo, span_hi, a, b), u_rows, w_rows)
 
 
 class _FrozenControlEmbedding:
@@ -328,6 +336,9 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         # write into them)
         self._u_spans = None
         self._w_rows = tuple(np.tile(w, (2 * self.n, 1)) for w in (self.w_lo, self.w_hi))
+        # _face_rows of a state pinned at its own ends, gathered from the
+        # (2n,) state [lo, hi] instead of from [lo, hi, lo, hi]
+        self._state_faces = _face_index(self.n) % (2 * self.n)
 
     def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
                         inherited: InclusionFunction | None = None,
@@ -342,21 +353,26 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         n = self.n
         # lower faces pin coordinate i down to lo_i, upper faces up to hi_i; the
         # faces lie inside the box the relaxation was built on or checked against
-        rows_lo, rows_hi = self.incl(*_face_rows(box.lo, box.hi, box.lo, box.hi),
-                                     check=False)
+        faces = np.concatenate((box.lo, box.hi)).take(self._state_faces)
+        rows_lo, rows_hi = self.incl(*faces, check=False)
         self._u_spans = (
             np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
             np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]),
         )
 
-    def field(self, lo, hi) -> np.ndarray:
-        """Closed-loop embedding field at an ordered state ``lo <= hi``."""
+    def _state_field(self, state) -> np.ndarray:
+        """Closed-loop field at a flat ordered state ``[lo, hi]``: one extension call."""
         if self._u_spans is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
-        return _extension_face_field(self.sys, lo, hi, lo, hi, self._u_spans, self._w_rows)
+        return _faces_field(self.sys, *state.take(self._state_faces), self._u_spans,
+                            self._w_rows)
+
+    def field(self, lo, hi) -> np.ndarray:
+        """Closed-loop embedding field at an ordered state ``lo <= hi``."""
+        return self._state_field(np.concatenate((lo, hi)))
 
     def _step_into(self, cur, out, dt):
-        np.add(cur, dt * self.field(cur[0], cur[1]).reshape(2, self.n), out=out)
+        np.add(cur, dt * self._state_field(cur.reshape(-1)).reshape(cur.shape), out=out)
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
         """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.

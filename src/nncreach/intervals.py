@@ -8,6 +8,7 @@ performed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,14 @@ def _as_vector(x, name="vector", copy=False) -> np.ndarray:
     return a
 
 
+def _check_ends(lo, hi) -> None:
+    """Raise ``ValueError`` unless the endpoint arrays are finite and ordered."""
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("state boxes must have finite endpoints")
+    if (lo > hi).any():
+        raise ValueError("box endpoints are crossed (lo > hi)")
+
+
 @dataclass(frozen=True)
 class IntervalVector:
     """Axis-aligned box ``[lo, hi]`` with finite endpoints and ``lo <= hi``.
@@ -56,14 +65,33 @@ class IntervalVector:
         hi = _as_vector(self.hi, "hi", copy=True)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("state boxes must have finite endpoints")
-        if (lo > hi).any():
-            raise ValueError("box endpoints are crossed (lo > hi)")
+        _check_ends(lo, hi)
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def from_stack(cls, ends) -> list["IntervalVector"]:
+        """The boxes ``[ends[k, 0], ends[k, 1]]`` of an ``(L, 2, n)`` endpoint stack.
+
+        The stack is validated once, as a whole, against the same rules
+        and with the same messages as a single box, and copied once: every
+        box's endpoints are read-only views into that one copy, so the
+        caller's array stays writable.
+        """
+        ends = np.array(ends, dtype=float)
+        if ends.ndim != 3 or ends.shape[1] != 2:
+            raise ValueError(f"endpoint stack must have shape (L, 2, n), got {ends.shape}")
+        _check_ends(ends[:, 0], ends[:, 1])
+        ends.setflags(write=False)
+        boxes = []
+        for lo, hi in zip(ends[:, 0], ends[:, 1]):
+            box = object.__new__(cls)
+            object.__setattr__(box, "lo", lo)
+            object.__setattr__(box, "hi", hi)
+            boxes.append(box)
+        return boxes
 
     @property
     def n(self) -> int:
@@ -121,30 +149,36 @@ class ToleranceVector:
         return self.eps.shape[0]
 
 
-def weighted_inf_norm(x, eps) -> float:
+def weighted_inf_norm(x, eps):
     """Weighted max norm ``max_i |x_i| / eps_i``.
 
     An entry with infinite tolerance contributes 0.  A zero tolerance acts
     as a hard constraint: the result is ``inf`` as soon as the matching
     component is nonzero, and 0 otherwise.  ``eps`` is a
-    :class:`ToleranceVector` or anything it accepts.
+    :class:`ToleranceVector` or anything it accepts.  A ``(..., n)`` stack
+    gives an array of one norm per vector, a single vector a float; each
+    norm has the bits of the single-vector call.
 
     One division by ``eps.div`` gives every entry its value: ``|x_i| / inf``
     is ``+0.0``, and a hard axis divides by 1 before it is set to ``inf``.
     """
-    x = _as_vector(x, "x")
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise ValueError("x must be a vector or a stack of vectors, got a scalar")
     if not isinstance(eps, ToleranceVector):
         eps = ToleranceVector(eps)
-    if x.shape != eps.eps.shape:
+    if x.shape[-1:] != eps.eps.shape:
         raise ValueError("x and eps must have the same length")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    if x.size == 0:
-        return 0.0
-    ax = np.abs(x)
-    out = ax / eps.div
-    out[eps.hard & (ax > 0)] = np.inf
-    return float(out.max())
+    if x.shape[-1] == 0:
+        out = np.zeros(x.shape[:-1])
+    else:
+        ax = np.abs(x)
+        out = ax / eps.div
+        out[eps.hard & (ax > 0)] = np.inf
+        out = out.max(axis=-1)
+    return float(out) if x.ndim == 1 else out
 
 
 def matrix_measure_inf(A):
@@ -176,26 +210,26 @@ def _matvec(M, X):
     return np.matmul(M, X[..., None])[..., 0]
 
 
+@functools.cache
+def _child_bits(n: int) -> np.ndarray:
+    """``(2**n, 1, n)`` table: entry ``[k, 0, i]`` is bit ``i`` of ``k``."""
+    bits = ((np.arange(1 << n)[:, None, None] >> np.arange(n)) & 1).astype(bool)
+    bits.setflags(write=False)
+    return bits
+
+
 def uniform_divide(box: IntervalVector) -> list[IntervalVector]:
     """Bisect every axis at its midpoint, producing ``2**n`` sub-boxes.
 
     Child ``k`` takes the upper half of axis ``i`` iff bit ``i`` of ``k``
-    is set; the union of the children is exactly the input box.
+    is set; the union of the children is exactly the input box.  All
+    children come from one selection between the ends ``(mid, hi)`` and
+    ``(lo, mid)``, so every endpoint is an exact copy.
     """
     lo, hi = box.lo, box.hi
     mid = lo + (hi - lo) / 2.0
-    n = box.n
-    out = []
-    for k in range(1 << n):
-        clo = lo.copy()
-        chi = hi.copy()
-        for i in range(n):
-            if (k >> i) & 1:
-                clo[i] = mid[i]
-            else:
-                chi[i] = mid[i]
-        out.append(IntervalVector(clo, chi))
-    return out
+    return IntervalVector.from_stack(
+        np.where(_child_bits(box.n), np.stack((mid, hi)), np.stack((lo, mid))))
 
 
 def interval_hull(boxes) -> IntervalVector:

@@ -15,7 +15,7 @@ keys such as ``description`` are preserved on load but otherwise ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,17 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Layer:
+    """One affine map plus activation.
+
+    ``Wp`` and ``Wn`` are the positive and negative parts of ``weights``,
+    split once here for the interval passes of the bounds module.
+    """
+
     weights: np.ndarray  # (m_out, m_in)
     bias: np.ndarray     # (m_out,)
     activation: str
+    Wp: np.ndarray = field(init=False, repr=False, compare=False)
+    Wn: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.weights, dtype=float)
@@ -50,10 +58,10 @@ class Layer:
             raise ValueError("bias length must match the number of output neurons")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
-        W.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "bias", b)
+        Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
+        for name, a in (("weights", W), ("bias", b), ("Wp", Wp), ("Wn", Wn)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def in_dim(self) -> int:

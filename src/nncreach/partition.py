@@ -19,6 +19,14 @@ at depth ``nn`` or less is a group of its own.  A split child at depth
 ``nn`` or less verifies its own box, a deeper one inherits the relaxation
 of the leaf it came from.  Every leaf still re-evaluates the face caches
 on its own (smaller) box.
+
+Between intervals the leaves are held as arrays: the frontier is the last
+row of the interval's stacked trajectories, one ``(L, 2, n)`` endpoint
+array plus the paths.  It is validated once per interval by
+:meth:`IntervalVector.from_stack`, whose boxes are read-only views into
+one copy; the starting weighted widths of all leaves (and of the children
+of a split) are one stacked :func:`weighted_inf_norm` call, and a group's
+hull is the min/max of its slice of the array.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .embedding import (
 from .intervals import (
     IntervalVector,
     ToleranceVector,
-    interval_hull,
     uniform_divide,
     weighted_inf_norm,
 )
@@ -313,48 +320,57 @@ def _predicate_fires(w0: float, w_probe: float, inv_gamma_eff: float) -> bool:
     return inv_gamma_eff * math.log(w_probe / w0) + math.log(w0) > 0.0
 
 
-def _step_interval(leaves: list, j: int, params: AlgorithmParams, model):
-    """Advance the ordered leaves ``(box, path)`` across control interval ``j``.
+def _step_interval(ends, boxes: list, paths: list, j: int, params: AlgorithmParams,
+                   model):
+    """Advance the frontier across control interval ``j``.
 
-    Returns the successor leaves and their trajectories, both in tree
+    The frontier is the leaves' ``(L, 2, n)`` endpoint array ``ends``, their
+    boxes (with the same endpoints) and their paths, all in tree order.
+    Returns the successor leaves' trajectories and paths, both in tree
     order, and the numbers of ``verify`` calls and of splits.
     """
     nn = min(params.nn_depth_max, params.depth_max)
+    eps = params.eps
     steps = model.interval_steps(j)
-    out, trajs = [], []
+    probe_steps = _probe_steps(params.gamma, steps)
+    trajs, out_paths = [], []
     nn_calls = subdivisions = 0
     emb = model.make_embedding()  # refreshed for every leaf
-    for _, group in itertools.groupby(leaves, key=lambda leaf: leaf[1][:nn]):
-        group = list(group)
-        eff = model.verify(interval_hull(box for box, _ in group))
+    w0s = weighted_inf_norm(ends[:, 1] - ends[:, 0], eps).tolist()
+    stop = 0
+    for _, group in itertools.groupby(paths, key=lambda path: path[:nn]):
+        start, stop = stop, stop + sum(1 for _ in group)
+        hull = ends[start:stop]
+        eff = model.verify(IntervalVector(hull[:, 0].min(axis=0), hull[:, 1].max(axis=0)))
         nn_calls += 1
         # a stack, so that split children pop in tree order; a child with
         # no relaxation (None) verifies its own box
-        todo = [(box, path, eff) for box, path in reversed(group)]
+        todo = [(boxes[i], paths[i], w0s[i], eff) for i in range(stop - 1, start - 1, -1)]
         while todo:
-            box, path, eff = todo.pop()
+            box, path, w0, eff = todo.pop()
             if eff is None:
                 eff = model.verify(box)
                 nn_calls += 1
             emb.refresh_control(box, reverify=False, inherited=eff, interval_index=j)
             probing = len(path) < params.depth_max
-            k = _probe_steps(params.gamma, steps) if probing else steps
+            k = probe_steps if probing else steps
             traj = model.advance(emb, box.lo, box.hi, k)
             if probing and _predicate_fires(
-                    weighted_inf_norm(box.width, params.eps),
-                    weighted_inf_norm(traj[-1, 1] - traj[-1, 0], params.eps), steps / k):
+                    w0, weighted_inf_norm(traj[-1, 1] - traj[-1, 0], eps), steps / k):
                 # discard the probe and restart the interval from the children
                 subdivisions += 1
                 inherited = None if len(path) < nn else eff
-                children = list(enumerate(uniform_divide(box)))
-                todo.extend((child, path + (i,), inherited) for i, child in reversed(children))
+                children = uniform_divide(box)
+                widths = weighted_inf_norm([child.width for child in children], eps).tolist()
+                todo.extend((children[i], path + (i,), widths[i], inherited)
+                            for i in reversed(range(len(children))))
                 continue
             if k < steps:
                 rest = model.advance(emb, traj[-1, 0], traj[-1, 1], steps - k)
                 traj = np.concatenate([traj, rest[1:]], axis=0)
-            out.append((IntervalVector(traj[-1, 0], traj[-1, 1]), path))
             trajs.append(traj)
-    return out, trajs, nn_calls, subdivisions
+            out_paths.append(path)
+    return trajs, out_paths, nn_calls, subdivisions
 
 
 def _build_uniform_tree(box: IntervalVector, depth_max: int) -> list:
@@ -383,14 +399,22 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
         leaves = _build_uniform_tree(root_box, params.depth_max)
     else:
         leaves = [(root_box, ())]
+    boxes = [box for box, _ in leaves]
+    paths = [path for _, path in leaves]
+    ends = np.stack([box.as_array() for box in boxes])
 
-    boxes = [root_box.as_array()[None, :, :]]
+    tube = [root_box.as_array()[None, :, :]]
     stats = []
     for j in range(1, model.num_intervals + 1):
-        leaves, trajs, nn_calls, subdivisions = _step_interval(leaves, j, params, model)
-        boxes.extend(np.stack(trajs, axis=1)[1:])
-        max_depth = max(len(path) for _, path in leaves)
+        trajs, paths, nn_calls, subdivisions = _step_interval(ends, boxes, paths, j,
+                                                              params, model)
+        stacked = np.stack(trajs, axis=1)
+        tube.extend(stacked[1:])
+        # the successor frontier: the last row, validated once
+        ends = stacked[-1]
+        boxes = IntervalVector.from_stack(ends)
+        max_depth = max(len(path) for path in paths)
         assert max_depth <= params.depth_max, "depth budget violated"
-        stats.append(StepStats(j, model.instants[j], len(leaves), max_depth,
+        stats.append(StepStats(j, model.instants[j], len(paths), max_depth,
                                nn_calls, subdivisions))
-    return ReachTube(times=model.times, boxes=boxes, interval_stats=stats)
+    return ReachTube(times=model.times, boxes=tube, interval_stats=stats)

@@ -57,6 +57,23 @@ class TestIBP:
         assert out.hi[0] == pytest.approx(2 * np.tanh(1.0))
 
 
+    def test_split_layer_weights_keep_the_bits(self):
+        # the per-call split of each layer's weights, kept as the oracle
+        from nncreach.bounds import _activation_interval
+
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            net = random_relu_network(rng)
+            box = random_box(rng, net.input_dim)
+            lo, hi = box.lo, box.hi
+            for layer in net.layers:
+                Wp, Wn = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
+                zlo, zhi = Wp @ lo + Wn @ hi + layer.bias, Wp @ hi + Wn @ lo + layer.bias
+                lo, hi = _activation_interval(layer.activation, zlo, zhi)
+            got = ibp_bounds(net, box)
+            assert got.lo.tobytes() == lo.tobytes() and got.hi.tobytes() == hi.tobytes()
+
+
 class TestCrown:
     def test_affine_network_exact(self):
         W = np.array([[2.0, -1.0]])

@@ -386,6 +386,29 @@ class TestCommandLine:
         assert cli.main(["reach", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("lower, upper, message", [
+        (4e-10, -4e-10, "box endpoints are crossed (lo > hi)"),
+        (0.0, np.inf, "state boxes must have finite endpoints"),
+    ])
+    def test_invalid_successor_box_exit_code(self, tmp_path, capsys, monkeypatch,
+                                             lower, upper, message):
+        # a plant whose embedding crosses within integrate's tolerance, or whose
+        # upper end runs to inf: the successor leaf fails as a box
+        from nncreach import systems
+        from test_partition import drifting_plant
+
+        monkeypatch.setitem(systems._REGISTRY, "test-drifting",
+                            lambda: drifting_plant(lower, upper))
+        net = tmp_path / "zero.json"
+        MLPNetwork([(np.zeros((1, 1)), np.zeros(1), "identity")]).save(net)
+        path = write_config(tmp_path, di_config_dict(
+            system={"name": "test-drifting"}, network=str(net),
+            initial_set={"lo": [0.0], "hi": [0.0]}, dt=0.1, control={"period": 0.5},
+            horizon=1.0, algorithm={"eps": [1.0], "gamma": 1.0, "depth_max": 0,
+                                    "nn_depth_max": 0, "mode": "adaptive"}))
+        assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert f"numeric failure: {message}" in capsys.readouterr().err
+
     def test_bench_reports_identical_volumes(self, tmp_path, capsys):
         path = write_config(tmp_path, di_config_dict())
         out = tmp_path / "out"

@@ -19,7 +19,7 @@ from nncreach import (
     make_inclusion,
 )
 
-from nncreach.embedding import _face_rows
+from nncreach.embedding import _extension_face_field, _face_rows
 
 from conftest import zero_network
 
@@ -630,6 +630,80 @@ class TestFaceRows:
         Xlo, Xhi = _face_rows(lo, hi, lo, hi)
         Xlo[...] = Xhi[...] = 7.0
         assert (lo.tobytes(), hi.tobytes()) == before
+
+
+class TestGatheredStep:
+    """The closed-loop step gathers its faces straight from the ``(2, n)``
+    state; field and step keep the bits of the face rows built from
+    ``[lo, hi, lo, hi]`` and of their one extension call."""
+
+    @pytest.fixture(params=["vehicle", "affine"])
+    def emb_box(self, request):
+        """A refreshed embedding and its box: the vehicle (an extension) or
+        a decomposition-only plant with a disturbance."""
+        if request.param == "vehicle":
+            net, box = (request.getfixturevalue(name) for name in ("vehicle_net", "vehicle_box"))
+            emb = ClosedLoopEmbedding(VehicleSystem().open_loop())
+        else:
+            net, box = (request.getfixturevalue(name) for name in ("di_net", "di_box"))
+            sys = affine_system(np.array([[-1.0, 0.5], [0.25, -2.0]]),
+                                np.array([[1.0], [-0.5]]), np.array([[0.5, 0.0], [-0.25, 0.75]]))
+            emb = ClosedLoopEmbedding(sys, w_box=(np.array([-0.1, -0.2]), np.array([0.1, 0.3])))
+        emb.refresh_control(box, reverify=True, net=net)
+        return emb, box
+
+    @staticmethod
+    def states(rng, box):
+        """Ordered states in and around ``box``, with signed zeros and flat axes."""
+        for _ in range(30):
+            lo = box.lo + rng.normal(size=box.n) * box.width
+            hi = lo + np.abs(rng.normal(size=box.n)) * box.width
+            flat = rng.random(box.n) < 0.2
+            hi[flat] = lo[flat]
+            zero = rng.random(box.n) < 0.15
+            lo[zero] = -0.0
+            hi[zero] = 0.0
+            yield lo, hi
+
+    def test_field_and_step_match_face_rows(self, emb_box):
+        emb, box = emb_box
+        dt = 0.01
+        for lo, hi in self.states(np.random.default_rng(17), box):
+            want = _extension_face_field(emb.sys, lo, hi, lo, hi, emb._u_spans, emb._w_rows)
+            assert emb.field(lo, hi).tobytes() == want.tobytes()
+            cur = np.stack((lo, hi))
+            out = np.empty_like(cur)
+            emb._step_into(cur, out, dt)
+            assert out.tobytes() == (cur + dt * want.reshape(2, emb.n)).tobytes()
+            assert cur.tobytes() == np.stack((lo, hi)).tobytes()
+
+    def test_face_caches_match_face_rows(self, emb_box):
+        emb, box = emb_box
+        n = emb.n
+        rows_lo, rows_hi = emb.incl(*_face_rows(box.lo, box.hi, box.lo, box.hi), check=False)
+        want = (np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
+                np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]))
+        for got, w in zip(emb._u_spans, want):
+            assert got.tobytes() == w.tobytes()
+
+    def test_one_extension_call_per_step(self, emb_box, monkeypatch):
+        emb, box = emb_box
+        sys, rows = emb.sys, []
+        ext = sys._face_extension
+
+        def counting(Xlo, *args):
+            rows.append(Xlo.shape)
+            return ext(Xlo, *args)
+
+        monkeypatch.setattr(sys, "_face_extension", counting)
+        traj = emb.integrate(box.lo, box.hi, 0.01, 7)
+        assert rows == [(2 * emb.n, emb.n)] * 7
+        state = traj[0]
+        for k in range(7):  # the steps of the face-row field
+            field = _extension_face_field(sys, state[0], state[1], state[0], state[1],
+                                          emb._u_spans, emb._w_rows)
+            state = state + 0.01 * field.reshape(2, emb.n)
+            assert traj[k + 1].tobytes() == state.tobytes()
 
 
 class TestStackedOpenField:

@@ -52,6 +52,61 @@ class TestIntervalVector:
             box.hi[0] = 5.0
 
 
+class TestFromStack:
+    """The bulk constructor validates a whole ``(L, 2, n)`` stack at once."""
+
+    def test_boxes_view_one_read_only_copy(self):
+        ends = np.array([[[0.0, -1.0], [1.0, 2.0]], [[-0.0, 3.0], [0.0, 3.0]]])
+        before = ends.tobytes()
+        boxes = IntervalVector.from_stack(ends)
+        assert len(boxes) == 2 and all(type(b) is IntervalVector for b in boxes)
+        for box, row in zip(boxes, ends):
+            assert box.lo.tobytes() == row[0].tobytes()
+            assert box.hi.tobytes() == row[1].tobytes()
+            assert not (box.lo.flags.writeable or box.hi.flags.writeable)
+            with pytest.raises(ValueError):
+                box.lo[0] = 5.0
+        assert boxes[0].lo.base is boxes[1].hi.base  # one copy for the stack
+        # the caller's array stays writable and its later writes do not reach the boxes
+        assert ends.flags.writeable
+        assert not np.shares_memory(ends, boxes[0].lo)
+        ends[...] = 9.0
+        assert np.stack([b.as_array() for b in boxes]).tobytes() == before
+
+    def test_boxes_behave_like_single_boxes(self):
+        lo, hi = np.array([0.0, -1.0]), np.array([1.0, 2.0])
+        box, = IntervalVector.from_stack(np.stack((lo, hi))[None])
+        single = IntervalVector(lo, hi)
+        assert box.as_array().tobytes() == single.as_array().tobytes()
+        assert repr(box) == repr(single)
+        assert box.n == 2 and box.width.tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("lo, hi, match", [
+        ([0.0, 1.0], [1.0, 0.5], r"box endpoints are crossed \(lo > hi\)"),
+        ([0.0, 1.0], [1.0, INF], "state boxes must have finite endpoints"),
+        ([np.nan, 1.0], [1.0, 2.0], "state boxes must have finite endpoints"),
+    ])
+    def test_single_box_messages(self, lo, hi, match):
+        good = [[0.0, 0.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match=match):
+            IntervalVector(np.array(lo), np.array(hi))
+        with pytest.raises(ValueError, match=match):
+            IntervalVector.from_stack([good, [lo, hi], good])
+
+    def test_crossed_by_a_tolerance_still_rejected(self):
+        # integrate tolerates crossings up to 1e-9; a box does not
+        with pytest.raises(ValueError, match="crossed"):
+            IntervalVector.from_stack([[[1.0], [1.0 - 5e-10]]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3, 2), (1, 2, 3, 1)])
+    def test_shape_checked(self, shape):
+        with pytest.raises(ValueError, match=r"\(L, 2, n\)"):
+            IntervalVector.from_stack(np.zeros(shape))
+
+    def test_empty_stack(self):
+        assert IntervalVector.from_stack(np.zeros((0, 2, 3))) == []
+
+
 class TestToleranceVector:
     def test_zero_and_inf_legal(self):
         ToleranceVector(np.array([0.0, INF, 1.0]))
@@ -152,6 +207,54 @@ class TestWeightedInfNorm:
                 weighted_inf_norm([0.0, bad, 1.0], eps)
 
 
+    @staticmethod
+    def stack_cases(rng, m, n):
+        kinds = np.array([0.0, INF, 5e-324, 1e-300, 1e-12, 1.0])
+        eps = rng.uniform(0.01, 10.0, size=n)
+        pick = rng.random(n) < 0.6
+        eps[pick] = rng.choice(kinds, size=int(pick.sum()))
+        x = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-320, 3, size=(m, n))
+        x[rng.random((m, n)) < 0.3] = 0.0
+        x[rng.random((m, n)) < 0.2] *= -1.0  # signed zeros as well
+        return x, eps
+
+    def test_stack_matches_per_row_calls_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(0, 7))
+            m = int(rng.integers(1, 20))
+            x, eps = self.stack_cases(rng, m, n)
+            with np.errstate(over="ignore"):  # a tiny eps may overflow to inf
+                for tol in (eps, ToleranceVector(eps)):
+                    got = weighted_inf_norm(x, tol)
+                    assert isinstance(got, np.ndarray) and got.shape == (m,)
+                    want = [weighted_inf_norm(row, tol).hex() for row in x]
+                    assert [v.hex() for v in got.tolist()] == want, (x, eps)
+                # deeper stacks reduce the last axis only
+                deep = weighted_inf_norm(x.reshape(1, m, n), eps)
+                assert deep.shape == (1, m) and deep.tobytes() == got.tobytes()
+
+    def test_single_vector_still_a_float(self):
+        got = weighted_inf_norm(np.array([1.0, -3.0]), [1.0, 2.0])
+        assert type(got) is float and got == 1.5
+        assert weighted_inf_norm(np.zeros((0, 2)), [1.0, 0.0]).shape == (0,)
+        assert weighted_inf_norm(np.zeros((3, 0)), np.zeros(0)).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("bad", [np.nan, INF, -INF])
+    def test_nonfinite_stack_raises(self, bad):
+        x = np.ones((4, 3))
+        x[2, 1] = bad
+        for eps in ([1.0, 0.0, INF], ToleranceVector([1.0, 0.0, INF])):
+            with pytest.raises(ValueError, match="x must be finite"):
+                weighted_inf_norm(x, eps)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="same length"):
+            weighted_inf_norm(np.ones((4, 3)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="scalar"):
+            weighted_inf_norm(1.0, [1.0])
+
+
 class TestMatrixMeasure:
     def test_identity(self):
         assert matrix_measure_inf(np.eye(2)) == 1.0
@@ -225,6 +328,70 @@ class TestUniformDivide:
         kids = uniform_divide(box)
         assert len(kids) == 4
         assert all(k.width[1] == 0.0 for k in kids)
+
+
+def loop_uniform_divide(box):
+    """The per-child loop :func:`uniform_divide` replaced, kept as its oracle."""
+    lo, hi = box.lo, box.hi
+    mid = lo + (hi - lo) / 2.0
+    out = []
+    for k in range(1 << box.n):
+        clo = lo.copy()
+        chi = hi.copy()
+        for i in range(box.n):
+            if (k >> i) & 1:
+                clo[i] = mid[i]
+            else:
+                chi[i] = mid[i]
+        out.append(IntervalVector(clo, chi))
+    return out
+
+
+class TestUniformDivideBits:
+    """The bit-table children are bit copies of the per-child loop's."""
+
+    @staticmethod
+    def boxes(rng, n):
+        """Boxes with signed zeros, degenerate axes and huge and tiny ends."""
+        for _ in range(25):
+            lo = rng.normal(size=n) * 10.0 ** rng.integers(-310, 300, size=n)
+            width = np.abs(rng.normal(size=n)) * 10.0 ** rng.integers(-320, 300, size=n)
+            width[rng.random(n) < 0.25] = 0.0  # degenerate axes
+            lo[rng.random(n) < 0.25] = rng.choice([0.0, -0.0])
+            hi = lo + width
+            zero = rng.random(n) < 0.15  # [-0.0, 0.0], [0.0, -0.0], ...
+            lo[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+            hi[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+            yield IntervalVector(lo, hi)
+        big = np.finfo(float).max
+        yield IntervalVector(np.full(n, big / 2), np.full(n, big))
+        yield IntervalVector(np.full(n, 5e-324), np.full(n, 1e-323))
+        yield IntervalVector(np.full(n, -1e-323), np.full(n, 5e-324))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_child_loop(self, n):
+        rng = np.random.default_rng(70 + n)
+        for box in self.boxes(rng, n):
+            got, want = uniform_divide(box), loop_uniform_divide(box)
+            assert len(got) == len(want) == 1 << n
+            for g, w in zip(got, want):
+                assert g.lo.tobytes() == w.lo.tobytes()
+                assert g.hi.tobytes() == w.hi.tobytes()
+
+    def test_overflowing_midpoint_raises_as_before(self):
+        big = np.finfo(float).max
+        box = IntervalVector(np.array([-big, 0.0]), np.array([big, 1.0]))
+        for divide in (uniform_divide, loop_uniform_divide):
+            with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                           match="finite endpoints"):
+                divide(box)
+
+    def test_children_are_read_only_and_box_untouched(self):
+        box = IntervalVector(np.array([-0.0, 1.0, 2.0]), np.array([0.0, 3.0, 2.0]))
+        before = box.as_array().tobytes()
+        for kid in uniform_divide(box):
+            assert not (kid.lo.flags.writeable or kid.hi.flags.writeable)
+        assert box.as_array().tobytes() == before
 
 
 class TestIntervalHull:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nncreach import MLPNetwork
+from nncreach.networks import Layer
 
 from conftest import NETWORKS, random_relu_network
 
@@ -90,3 +91,22 @@ def test_benchmark_networks_have_expected_shapes():
     assert [l.out_dim for l in di.layers] == [10, 5, 1]
     assert "stand-in" in veh.description.lower()
     assert "stand-in" in di.description.lower()
+
+
+def test_layer_weight_parts_split_once(tmp_path):
+    W = np.array([[1.0, -0.0, -2.0], [0.0, 3.5, -5e-324]])
+    layer = Layer(W, np.zeros(2), "identity")
+    assert layer.Wp.tobytes() == np.maximum(W, 0.0).tobytes()
+    assert layer.Wn.tobytes() == np.minimum(W, 0.0).tobytes()
+    assert not (layer.Wp.flags.writeable or layer.Wn.flags.writeable)
+    assert "Wp" not in repr(layer) and "Wn" not in repr(layer)
+    with pytest.raises(TypeError):
+        Layer(W, np.zeros(2), "identity", W)
+    # persistence writes and reads the weights only
+    path = tmp_path / "net.json"
+    MLPNetwork([layer]).save(path)
+    doc = json.loads(path.read_text())
+    assert [sorted(l) for l in doc["layers"]] == [["activation", "bias", "weights"]]
+    loaded = MLPNetwork.load(path).layers[0]
+    assert loaded.Wp.tobytes() == layer.Wp.tobytes()
+    assert loaded.Wn.tobytes() == layer.Wn.tobytes()

@@ -9,6 +9,7 @@ from nncreach import (
     DiscreteLTIModel,
     DoubleIntegratorSystem,
     IntervalVector,
+    OpenLoopSystem,
     ToleranceVector,
     affine_system,
     compute_reachable_set,
@@ -16,7 +17,7 @@ from nncreach import (
 from nncreach.intervals import interval_hull
 from nncreach.partition import _predicate_fires, _probe_steps
 
-from conftest import zero_network
+from conftest import CONFIGS, zero_network
 
 INF = np.inf
 
@@ -36,6 +37,17 @@ def scalar_growth_model(rate=1.0, horizon=math.log(2.0), steps=100):
 def di_model(di_net, horizon=5):
     di = DoubleIntegratorSystem()
     return DiscreteLTIModel(di.A, di.B, di_net, horizon_steps=horizon)
+
+
+def drifting_plant(lower_rate, upper_rate):
+    """A 1-D plant whose enclosure has the constant ends ``lower_rate`` and
+    ``upper_rate``: with ``lower_rate > upper_rate`` the embedding crosses
+    at that rate, an infinite ``upper_rate`` sends the upper end to ``inf``."""
+    def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        return np.full(Xlo.shape, lower_rate), np.full(Xhi.shape, upper_rate)
+
+    return OpenLoopSystem(1, 1, 0, lambda x, u, w=None: np.zeros_like(x), extension=ext,
+                          name="drifting")
 
 
 def params(eps, gamma=1.0, dp=0, dn=0, mode="adaptive"):
@@ -356,3 +368,76 @@ class TestModelValidation:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time,partition,lo0,hi0,lo1,hi1"
         assert len(lines) == 1 + 3  # header + one box at each of t = 0, 1, 2
+
+
+class TestSuccessorValidation:
+    """A successor leaf that ``integrate`` lets through but that is no box
+    (non-finite, or crossed within integrate's 1e-9 tolerance) still stops
+    the run with the single-box message."""
+
+    @staticmethod
+    def run(lower_rate, upper_rate, **kw):
+        # five Euler steps of 0.1 per interval from the point box [0, 0]
+        model = ContinuousClosedLoopModel(drifting_plant(lower_rate, upper_rate),
+                                          zero_network(1, 1), horizon=1.0, dt=0.1,
+                                          control_period=0.5)
+        box = IntervalVector(np.zeros(1), np.zeros(1))
+        return compute_reachable_set(box, params([1.0], **kw), model)
+
+    @pytest.mark.parametrize("kw", [{}, {"dp": 1, "mode": "uniform"}])
+    def test_crossed_within_tolerance_rejected(self, kw):
+        # each interval crosses the state by 2 * 5 * 0.1 * 4e-10 = 4e-10 < 1e-9
+        with pytest.raises(ValueError, match=r"^box endpoints are crossed \(lo > hi\)$"):
+            self.run(4e-10, -4e-10, **kw)
+
+    @pytest.mark.parametrize("kw", [{}, {"dp": 1, "mode": "uniform"}])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError, match="^state boxes must have finite endpoints$"):
+            self.run(0.0, INF, **kw)
+
+    def test_ordered_drift_passes(self):
+        tube = self.run(-1.0, 1.0)
+        assert tube.final_hull().hi[0] == pytest.approx(1.0)
+
+
+class TestFrontierArrays:
+    def test_successors_validated_once_per_interval(self, monkeypatch):
+        # boxes are validated once per interval (the successor frontier) and
+        # once per split (the children), never once per leaf; the only
+        # single-box constructions left are the verified group hulls
+        from nncreach import config
+
+        exp = config.build_experiment(
+            config.ExperimentConfig.load(CONFIGS / "di_adaptive_d3n1.json"))
+        singles, stacked, verified = [], [], []
+        post_init = IntervalVector.__post_init__
+        from_stack = IntervalVector.from_stack.__func__
+        verify = exp.model.verify
+
+        def counting_post_init(self):
+            singles.append(self)
+            post_init(self)
+
+        def counting_from_stack(cls, ends):
+            boxes = from_stack(cls, ends)
+            stacked.append(boxes)
+            return boxes
+
+        def recording_verify(box):
+            verified.append(box)
+            return verify(box)
+
+        monkeypatch.setattr(IntervalVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(IntervalVector, "from_stack", classmethod(counting_from_stack))
+        exp.model.verify = recording_verify
+        tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
+        stats = tube.interval_stats
+        splits = sum(s.subdivisions for s in stats)
+        assert splits > 0
+        assert len(stacked) == len(stats) + splits
+        assert sorted(map(len, stacked)) == sorted(
+            [2 ** exp.model.n] * splits + [s.leaf_count for s in stats])
+        from_stacks = {id(box) for boxes in stacked for box in boxes}
+        hulls = [box for box in verified if id(box) not in from_stacks]
+        assert [id(b) for b in singles] == [id(b) for b in hulls]
+        assert len(singles) < sum(s.nn_calls for s in stats) < sum(s.leaf_count for s in stats)
