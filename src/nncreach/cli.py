@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_experiment, run_experiment
+from .config import (ConfigError, ExperimentConfig, _json_value, build_experiment,
+                     run_experiment)
 from .contraction import diagnose
 from .embedding import EmbeddingOrderError
 from .montecarlo import containment_check, sample_trajectories
@@ -69,17 +69,6 @@ def _load(args) -> tuple[ExperimentConfig, Path]:
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
-
-
-def _json_value(v):
-    """``v`` with every non-finite float written as ``"inf"``, ``"-inf"`` or ``"nan"``."""
-    if isinstance(v, float) and not math.isfinite(v):
-        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
-    if isinstance(v, dict):
-        return {k: _json_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    return v
 
 
 def _write_json(path: Path, data: dict) -> None:

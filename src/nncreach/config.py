@@ -39,6 +39,20 @@ class ConfigError(ValueError):
     """A configuration document failed validation."""
 
 
+def _json_value(v):
+    """``v`` with every non-finite float written as ``"inf"``, ``"-inf"`` or ``"nan"``.
+
+    The one encoding of non-finite numbers in configs and in the JSON outputs.
+    """
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
 def _need(data: dict, key: str, where: str):
     if key not in data:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -224,10 +238,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical JSON-serializable form (inf rendered as the string 'inf')."""
-        def enc(v):
-            return "inf" if isinstance(v, float) and np.isinf(v) else v
-
-        return {
+        return _json_value({
             "schema": SCHEMA_VERSION,
             "system": {"name": self.system, "params": dict(self.system_params)},
             "network": self.network,
@@ -241,7 +252,7 @@ class ExperimentConfig:
             "dt": self.dt,
             "horizon": self.horizon,
             "algorithm": {
-                "eps": [enc(v) for v in self.eps],
+                "eps": list(self.eps),
                 "gamma": self.gamma,
                 "depth_max": self.depth_max,
                 "nn_depth_max": self.nn_depth_max,
@@ -251,7 +262,7 @@ class ExperimentConfig:
             "repetitions": self.repetitions,
             "mc_trajectories": self.mc_trajectories,
             "output_dir": self.output_dir,
-        }
+        })
 
 
 def apply_overrides(data: dict, overrides) -> dict:

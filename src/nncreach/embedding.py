@@ -259,17 +259,6 @@ def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, u_rows, w_rows) -> np.ndarray:
     return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
 
 
-def _extension_face_field(sys: OpenLoopSystem, span_lo, span_hi, a, b,
-                          u_rows, w_rows) -> np.ndarray:
-    """Embedding field from one extension call on the faces.
-
-    The faces are :func:`_face_rows` of the state span pinned at ``a`` and
-    ``b`` (see :func:`_faces_field` for the rows); with ``(m, ·)`` pin
-    stacks the spans come as ``(m, 1, n)``.
-    """
-    return _faces_field(sys, *_face_rows(span_lo, span_hi, a, b), u_rows, w_rows)
-
-
 class _FrozenControlEmbedding:
     """What both embeddings share: a controller relaxation frozen over one
     control interval and the fixed-step integration loop.
@@ -285,11 +274,10 @@ class _FrozenControlEmbedding:
             if net is None:
                 raise ValueError("re-verification requires the network")
             return make_inclusion(crown_bounds(net, box))
-        incl = inherited if inherited is not None else self.incl
-        if incl is None:
-            raise ValueError("no inclusion function available to inherit")
-        incl.check_domain(box.lo, box.hi)
-        return incl
+        if inherited is None:
+            raise ValueError("no inclusion function passed to inherit")
+        inherited.check_domain(box.lo, box.hi)
+        return inherited
 
     def integrate(self, lo, hi, dt: float, steps: int) -> np.ndarray:
         """Integrate the embedding ``steps`` steps; returns ``(steps+1, 2, n)``.
@@ -346,8 +334,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         """Recompute the face caches at a control instant.
 
         With ``reverify`` the network is re-relaxed over ``box``; otherwise
-        the inherited inclusion function is reused, which requires ``box``
-        to lie inside its domain.  ``interval_index`` is not used.
+        ``inherited`` is used, which requires ``box`` to lie inside its
+        domain.  ``interval_index`` is not used.
         """
         self.incl = self._control_inclusion(box, reverify, net, inherited)
         n = self.n
@@ -396,9 +384,9 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
                          .reshape(rows, e.shape[-1])
                          for e in (np.minimum(v, vh), np.maximum(v, vh)))
 
-        return _extension_face_field(self.sys, np.minimum(a, b)[..., None, :],
-                                     np.maximum(a, b)[..., None, :], a, b,
-                                     per_face(ulo, uhi), per_face(wlo, whi))
+        faces = _face_rows(np.minimum(a, b)[..., None, :], np.maximum(a, b)[..., None, :],
+                           a, b)
+        return _faces_field(self.sys, *faces, per_face(ulo, uhi), per_face(wlo, whi))
 
 
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):
@@ -472,13 +460,19 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     def _step_into(self, cur, out, dt):
         out[0], out[1] = self.step(cur[0], cur[1])
 
-    def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
-        """Open-loop one-step map on a pair, or row by row on ``(m, ·)`` stacks.
+    def d(self, x, xh, u, uh, w=None, wh=None):
+        """Decomposition ``A+ x + A- xh + B+ u + B- uh`` of the one-step map.
 
-        The disturbance arguments are unused.
+        Takes single vectors or ``(m, ·)`` row stacks; each row gets the
+        bits of the single-vector products.  The disturbance pair is unused.
         """
-        Ap, An, Bp, Bn = self._Ap, self._An, self._Bp, self._Bn
-        return np.concatenate([
-            _matvec(Ap, a) + _matvec(An, b) + _matvec(Bp, ulo) + _matvec(Bn, uhi),
-            _matvec(An, a) + _matvec(Ap, b) + _matvec(Bn, ulo) + _matvec(Bp, uhi),
-        ], axis=-1)
+        return (_matvec(self._Ap, x) + _matvec(self._An, xh)
+                + _matvec(self._Bp, u) + _matvec(self._Bn, uh))
+
+    def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
+        """Open-loop one-step map ``(d(a, b, u, uh), d(b, a, uh, u))``.
+
+        On a pair, or row by row on ``(m, ·)`` stacks; the disturbance
+        arguments are unused.
+        """
+        return np.concatenate([self.d(a, b, ulo, uhi), self.d(b, a, uhi, ulo)], axis=-1)

@@ -29,13 +29,9 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_vector(x, name="vector", copy=False) -> np.ndarray:
-    """``x`` as a 1-D float array; a fresh copy when ``copy`` is true.
-
-    Without ``copy`` a float array comes back as itself.  A copy may be
-    frozen without touching the caller's array.
-    """
-    a = np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
+def _as_vector(x, name="vector") -> np.ndarray:
+    """``x`` as a fresh 1-D float array, which may be frozen without touching the caller's."""
+    a = np.array(x, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     return a
@@ -49,20 +45,21 @@ def _check_ends(lo, hi) -> None:
         raise ValueError("box endpoints are crossed (lo > hi)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalVector:
     """Axis-aligned box ``[lo, hi]`` with finite endpoints and ``lo <= hi``.
 
     The endpoints are stored as read-only copies, so the arrays a caller
     passes in stay writable and later writes to them do not reach the box.
+    Boxes compare and hash by identity; compare endpoints explicitly.
     """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _as_vector(self.lo, "lo", copy=True)
-        hi = _as_vector(self.hi, "hi", copy=True)
+        lo = _as_vector(self.lo, "lo")
+        hi = _as_vector(self.hi, "hi")
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same length")
         _check_ends(lo, hi)
@@ -135,7 +132,7 @@ class ToleranceVector:
     hard: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        eps = _as_vector(self.eps, "eps", copy=True)
+        eps = _as_vector(self.eps, "eps")
         if np.isnan(eps).any() or (eps < 0).any():
             raise ValueError("tolerances must be non-negative (inf allowed)")
         hard = eps == 0

@@ -50,8 +50,9 @@ class Layer:
     Wn: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        W = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bias, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        W = np.array(self.weights, dtype=float)
+        b = np.array(self.bias, dtype=float)
         if W.ndim != 2:
             raise ValueError("layer weights must be a matrix")
         if b.ndim != 1 or b.shape[0] != W.shape[0]:

@@ -258,10 +258,8 @@ class DiscreteLTIModel:
     """Discrete-time linear loop; one control update per map step."""
 
     def __init__(self, A, B, net, horizon_steps: int, w_box=None):
-        if w_box is not None:
-            wlo = np.asarray(w_box.lo if isinstance(w_box, IntervalVector) else w_box[0])
-            if wlo.size:
-                raise ValueError("the discrete LTI model does not take disturbances")
+        if w_box is not None:  # the map takes no disturbance
+            _require_pair(w_box, 0, "disturbance")
         if horizon_steps < 1:
             raise ValueError("need at least one step")
         self.A = np.asarray(A, dtype=float)

@@ -2,8 +2,8 @@
 
 Ships the kinematic bicycle vehicle (continuous time, 4 states, 2 inputs)
 and the zero-order-hold double integrator (discrete time, 2 states, 1
-input), plus an affine-system helper used heavily by tests and
-diagnostics.
+input), plus a continuous-time affine-system helper used heavily by tests
+and diagnostics.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .embedding import OpenLoopSystem
+from .embedding import DiscreteLTIEmbedding, OpenLoopSystem
 from .intervals import _cos_range, _matvec, interval_mul
 from .partition import DiscreteLTIModel
 
@@ -149,8 +149,9 @@ class DoubleIntegratorSystem:
         return x @ self.A.T + u @ self.B.T
 
     def open_loop(self) -> OpenLoopSystem:
-        """Decomposition view of the one-step map (positive/negative split)."""
-        return affine_system(self.A, self.B, discrete=True, name="double-integrator")
+        """Decomposition view of the one-step map: :meth:`DiscreteLTIEmbedding.d`."""
+        d = DiscreteLTIEmbedding(self.A, self.B).d
+        return OpenLoopSystem(self.n, self.p, self.q, self.f, d=d, name="double-integrator")
 
     def build_model(self, net, horizon: float, dt: float, control_period=None,
                     control_instants=None, w_box=None) -> DiscreteLTIModel:
@@ -169,15 +170,13 @@ class DoubleIntegratorSystem:
         return DiscreteLTIModel(self.A, self.B, net, int(round(horizon)), w_box=w_box)
 
 
-def affine_system(A, B=None, D=None, const=None, discrete: bool = False,
-                  name: str = "affine") -> OpenLoopSystem:
-    """Open-loop system for ``f(x, u, w) = A x + B u + D w + const``.
+def affine_system(A, B=None, D=None, const=None, name: str = "affine") -> OpenLoopSystem:
+    """Continuous-time open-loop system for ``f(x, u, w) = A x + B u + D w + const``.
 
-    Continuous-time systems keep the diagonal of ``A`` with the first state
-    argument and split only the off-diagonal entries by sign; discrete-time
-    maps split every entry.  The decomposition takes single vectors or
-    ``(m, ·)`` row stacks; each row gets the bits of the single-vector
-    products.
+    The decomposition keeps the diagonal of ``A`` with the first state
+    argument and splits only the off-diagonal entries by sign.  It takes
+    single vectors or ``(m, ·)`` row stacks; each row gets the bits of the
+    single-vector products.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -187,14 +186,10 @@ def affine_system(A, B=None, D=None, const=None, discrete: bool = False,
     D = np.zeros((n, 0)) if D is None else np.asarray(D, dtype=float).reshape(n, -1)
     c = np.zeros(n) if const is None else np.asarray(const, dtype=float)
 
-    if discrete:
-        Asplit = A
-    else:
-        Asplit = A - np.diag(np.diag(A))
-    Ap = np.maximum(Asplit, 0.0)
-    An = np.minimum(Asplit, 0.0)
-    if not discrete:
-        Ap = Ap + np.diag(np.diag(A))
+    diag = np.diag(np.diag(A))
+    off = A - diag
+    Ap = np.maximum(off, 0.0) + diag
+    An = np.minimum(off, 0.0)
     Bp, Bn = np.maximum(B, 0.0), np.minimum(B, 0.0)
     Dp, Dn = np.maximum(D, 0.0), np.minimum(D, 0.0)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import IntervalVector
 from .partition import ReachTube
 
 __all__ = ["hull_volume", "union_area_raster"]
@@ -19,24 +18,15 @@ def hull_volume(tube: ReachTube, t: float, coords=None) -> float:
     return float(np.prod([w[i] for i in coords]))
 
 
-def _normalize_boxes(boxes) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        arr = boxes
-    else:
-        arr = np.stack([b.as_array() if isinstance(b, IntervalVector) else np.asarray(b)
-                        for b in boxes])
-    if arr.ndim != 3 or arr.shape[1] != 2:
-        raise ValueError("boxes must be shaped (B, 2, n)")
-    return arr
-
-
 def union_area_raster(boxes, coords=(0, 1), resolution: int = 1000) -> float:
     """Area of the union of boxes projected onto two coordinates.
 
-    The projected hull is cut into ``resolution x resolution`` cells, and a
-    cell counts when its centre lies in some box, closed on every side
-    (``x0 <= xs <= x1`` and ``y0 <= ys <= y1``); the error shrinks like
-    (perimeter / resolution) as the resolution grows.
+    ``boxes`` is a ``(B, 2, n)`` endpoint array, one ``[lo, hi]`` per box,
+    as :class:`ReachTube` holds them per time step.  The projected hull is
+    cut into ``resolution x resolution`` cells, and a cell counts when its
+    centre lies in some box, closed on every side (``x0 <= xs <= x1`` and
+    ``y0 <= ys <= y1``); the error shrinks like (perimeter / resolution) as
+    the resolution grows.
 
     The count is exact and takes no loop over boxes.  Since the centres are
     sorted, the cells a box covers along an axis form the index range
@@ -46,7 +36,9 @@ def union_area_raster(boxes, coords=(0, 1), resolution: int = 1000) -> float:
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    arr = _normalize_boxes(boxes)
+    arr = np.asarray(boxes, dtype=float)
+    if arr.ndim != 3 or arr.shape[1] != 2:
+        raise ValueError("boxes must be shaped (B, 2, n)")
     i, j = coords
     lo = arr[:, 0][:, (i, j)]
     hi = arr[:, 1][:, (i, j)]

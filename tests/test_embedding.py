@@ -19,7 +19,7 @@ from nncreach import (
     make_inclusion,
 )
 
-from nncreach.embedding import _extension_face_field, _face_rows
+from nncreach.embedding import _face_rows, _faces_field
 
 from conftest import zero_network
 
@@ -402,10 +402,15 @@ class TestClosedLoopEmbedding:
             emb.refresh_control(outside, reverify=False, inherited=parent_incl)
 
     def test_refresh_without_any_inclusion_errors(self):
+        box = IntervalVector(np.zeros(1), np.ones(1))
         emb = ClosedLoopEmbedding(scalar_leak())
         with pytest.raises(ValueError, match="inclusion"):
-            emb.refresh_control(IntervalVector(np.zeros(1), np.ones(1)),
-                                reverify=False)
+            emb.refresh_control(box, reverify=False)
+        # the relaxation of an earlier refresh is not reused either
+        emb.refresh_control(box, reverify=False,
+                            inherited=exact_linear_inclusion(np.array([[0.0]]), box))
+        with pytest.raises(ValueError, match="inclusion"):
+            emb.refresh_control(box, reverify=False)
 
     def test_field_before_refresh_errors(self):
         box = IntervalVector(np.array([7.0, 7.2, -2.4, 1.5]), np.array([7.4, 7.5, -2.1, 2.0]))
@@ -519,9 +524,8 @@ class TestReusedEmbedding:
         emb = DiscreteLTIEmbedding(self.A, self.B)
         emb.refresh_control(di_box, reverify=False, inherited=incl)
         outside = IntervalVector(di_box.lo, di_box.hi + 0.1)
-        for inherited in (incl, None):  # passed again, or kept from the last refresh
-            with pytest.raises(DomainError, match="not contained"):
-                emb.refresh_control(outside, reverify=False, inherited=inherited)
+        with pytest.raises(DomainError, match="not contained"):
+            emb.refresh_control(outside, reverify=False, inherited=incl)
         assert emb.incl is incl
 
     def test_closed_loop_field_matches_fresh_embeddings(self, vehicle_net, vehicle_box):
@@ -669,7 +673,8 @@ class TestGatheredStep:
         emb, box = emb_box
         dt = 0.01
         for lo, hi in self.states(np.random.default_rng(17), box):
-            want = _extension_face_field(emb.sys, lo, hi, lo, hi, emb._u_spans, emb._w_rows)
+            want = _faces_field(emb.sys, *_face_rows(lo, hi, lo, hi), emb._u_spans,
+                                emb._w_rows)
             assert emb.field(lo, hi).tobytes() == want.tobytes()
             cur = np.stack((lo, hi))
             out = np.empty_like(cur)
@@ -700,8 +705,8 @@ class TestGatheredStep:
         assert rows == [(2 * emb.n, emb.n)] * 7
         state = traj[0]
         for k in range(7):  # the steps of the face-row field
-            field = _extension_face_field(sys, state[0], state[1], state[0], state[1],
-                                          emb._u_spans, emb._w_rows)
+            faces = _face_rows(state[0], state[1], state[0], state[1])
+            field = _faces_field(sys, *faces, emb._u_spans, emb._w_rows)
             state = state + 0.01 * field.reshape(2, emb.n)
             assert traj[k + 1].tobytes() == state.tobytes()
 
@@ -734,6 +739,21 @@ class TestStackedOpenField:
         want = np.concatenate([Ap @ a[0] + An @ b[0] + Bp @ ulo[0] + Bn @ uhi[0],
                                An @ a[0] + Ap @ b[0] + Bn @ ulo[0] + Bp @ uhi[0]])
         assert rows[0].tobytes() == want.tobytes()
+
+    def test_double_integrator_open_loop_d_is_the_map(self):
+        from nncreach import DoubleIntegratorSystem
+        di = DoubleIntegratorSystem()
+        d = di.open_loop().d
+        field = DiscreteLTIEmbedding(di.A, di.B).open_field
+        rng = np.random.default_rng(41)
+        for m in (1, 7, 64):
+            a = rng.normal(size=(m, 2)) * 3.0
+            b = a + rng.normal(size=(m, 2))  # crossed on some axes
+            ulo, uhi = rng.normal(size=(2, m, 1))
+            w = np.zeros((m, 0))
+            want = field(a, b, ulo, uhi, w, w)
+            assert d(a, b, ulo, uhi, w, w).tobytes() == want[:, :2].tobytes()
+            assert d(b, a, uhi, ulo, w, w).tobytes() == want[:, 2:].tobytes()
 
     def test_vehicle_extension(self):
         emb = ClosedLoopEmbedding(VehicleSystem().open_loop())

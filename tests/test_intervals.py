@@ -51,6 +51,16 @@ class TestIntervalVector:
         with pytest.raises(ValueError):
             box.hi[0] = 5.0
 
+    def test_equality_is_identity_and_boxes_hash(self):
+        a = IntervalVector(np.zeros(2), np.ones(2))
+        b = IntervalVector(np.zeros(2), np.ones(2))
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        boxes = {a, b, a}
+        assert len(boxes) == 2 and a in boxes and b in boxes
+        stacked = IntervalVector.from_stack(np.stack([a.as_array(), b.as_array()]))
+        assert len(set(stacked)) == 2
+
 
 class TestFromStack:
     """The bulk constructor validates a whole ``(L, 2, n)`` stack at once."""
@@ -128,10 +138,9 @@ class TestWeightedInfNorm:
 
     def test_float_array_taken_without_copy(self):
         x = np.array([1.0, -3.0])
-        assert _as_vector(x, "x") is x
         assert weighted_inf_norm(x, [1.0, 2.0]) == 1.5
         assert x.flags.writeable and x.tolist() == [1.0, -3.0]
-        copied = _as_vector(x, "x", copy=True)
+        copied = _as_vector(x, "x")
         assert copied is not x and not np.shares_memory(copied, x)
 
     def test_diagonal_scaling(self):

@@ -171,6 +171,16 @@ class TestRegistry:
         assert isinstance(get_system("test-dummy"), DoubleIntegratorSystem)
 
 
+class TestDiscreteLTIModel:
+    def test_disturbance_must_be_empty(self, di_net):
+        di = DoubleIntegratorSystem()
+        for empty in ((np.zeros(0), np.zeros(0)), IntervalVector(np.zeros(0), np.zeros(0))):
+            DiscreteLTIModel(di.A, di.B, di_net, 3, w_box=empty)
+        for pair in ((np.zeros(1), np.ones(1)), IntervalVector(np.zeros(2), np.ones(2))):
+            with pytest.raises(ValueError, match="disturbance pair must have dimension 0"):
+                DiscreteLTIModel(di.A, di.B, di_net, 3, w_box=pair)
+
+
 class TestSampleTrajectories:
     def test_degenerate_box_single_deterministic(self, di_net):
         di = DoubleIntegratorSystem()

@@ -110,3 +110,13 @@ def test_layer_weight_parts_split_once(tmp_path):
     loaded = MLPNetwork.load(path).layers[0]
     assert loaded.Wp.tobytes() == layer.Wp.tobytes()
     assert loaded.Wn.tobytes() == layer.Wn.tobytes()
+
+
+def test_layer_copies_caller_arrays():
+    W, b = np.ones((1, 1)), np.zeros(1)
+    layer = Layer(W, b, "identity")
+    W[0, 0] = 2.0  # the caller's arrays stay writable
+    b[0] = 3.0
+    assert layer.weights.tolist() == [[1.0]] and layer.bias.tolist() == [0.0]
+    assert layer.Wp.tolist() == [[1.0]]
+    assert not (layer.weights.flags.writeable or layer.bias.flags.writeable)

@@ -69,3 +69,26 @@ def test_traced_counts_reconcile(name, overrides, tmp_path):
     assert metrics["montecarlo.points_checked"] == TRAJECTORIES * len(tube.times)
     rasters = sum(span[tracing.NAME] == "volume.raster" for span in tracer.spans)
     assert rasters == (1 if exp.model.n >= 2 else 0)
+
+
+def test_tracer_installs_every_wrap():
+    """The tracer skips a vanished name silently; this pins the names it finds."""
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        installed = sorted(f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
+                           for owner, attr, _ in tracer._restore)
+    assert installed == sorted([
+        "ContinuousClosedLoopModel.verify", "ContinuousClosedLoopModel.advance",
+        "DiscreteLTIModel.verify", "DiscreteLTIModel.advance",
+        "ClosedLoopEmbedding.refresh_control", "DiscreteLTIEmbedding.refresh_control",
+        "InclusionFunction.__call__",
+        "VehicleSystem.extension",
+        "nncreach.partition.compute_reachable_set", "nncreach.partition._build_uniform_tree",
+        "nncreach.partition.uniform_divide", "ReachTube.write_csv",
+        "nncreach.config.union_area_raster", "nncreach.config.build_experiment",
+        "ExperimentConfig.load",
+        "nncreach.montecarlo.sample_trajectories", "nncreach.montecarlo.containment_check",
+        "nncreach.contraction.estimate_contraction", "nncreach.contraction.fd_jacobian",
+        "MLPNetwork.__call__",
+    ])
+    assert tracer._restore == []
