@@ -94,7 +94,7 @@ def cmd_reach(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, out_dir = _load(args)
-    reps = args.reps if args.reps is not None else max(2, cfg.repetitions)
+    reps = args.reps if args.reps is not None else 2
     if reps < 2:
         raise ConfigError("bench needs at least 2 repetitions")
     exp = build_experiment(cfg)
@@ -127,7 +127,7 @@ def cmd_mc(args) -> int:
     if count < 1:
         raise ConfigError("mc needs at least 1 trajectory")
     exp = build_experiment(cfg)
-    tube, summary = run_experiment(exp)
+    tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
     times, traj = sample_trajectories(exp.model, exp.root_box, count, cfg.seed)
     report = containment_check(tube, traj)
     n = traj.shape[2]
@@ -154,7 +154,7 @@ def cmd_mc(args) -> int:
 def cmd_bounds(args) -> int:
     cfg, out_dir = _load(args)
     exp = build_experiment(cfg)
-    tube, _ = run_experiment(exp)
+    tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
     doc = diagnose(exp, tube)
     _write_json(out_dir / "bounds.json", doc)
     print(

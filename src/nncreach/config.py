@@ -1,8 +1,10 @@
 """Experiment configuration: parsing, validation, assembly, execution.
 
 Configs are JSON documents (schema version 1).  Infinite tolerances may be
-written as the string ``"inf"``.  Paths inside a config are resolved
-relative to the config file's directory when loaded from disk.
+written as the string ``"inf"``.  A relative ``network`` path resolves
+against the config file's directory when loaded from disk; ``output_dir``
+is used as written, so a relative one resolves against the working
+directory.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class ConfigError(ValueError):
 def _json_value(v):
     """``v`` with every non-finite float written as ``"inf"``, ``"-inf"`` or ``"nan"``.
 
-    The one encoding of non-finite numbers in configs and in the JSON outputs.
+    The one encoding of non-finite numbers in the JSON outputs; :func:`_as_float`
+    reads ``"inf"`` back.
     """
     if isinstance(v, float) and not math.isfinite(v):
         return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
@@ -115,7 +118,6 @@ class ExperimentConfig:
     control_period: float | None = None
     control_instants: list[float] | None = None
     seed: int = 0
-    repetitions: int = 1
     mc_trajectories: int = 200
     output_dir: str = "out"
 
@@ -123,7 +125,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        schema = data.get("schema", SCHEMA_VERSION)
+        schema = _as_int(data.get("schema", SCHEMA_VERSION), "config.schema")
         if schema != SCHEMA_VERSION:
             raise ConfigError(f"config: unsupported schema version {schema}")
 
@@ -196,6 +198,11 @@ class ExperimentConfig:
         seed = _as_int(data.get("seed", 0), "config.seed")
         if seed < 0:
             raise ConfigError(f"config.seed must be non-negative, got {seed}")
+        output_dir = data.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError(
+                f"config.output_dir must be a directory path, got {output_dir!r}"
+            )
 
         return cls(
             system=sysname,
@@ -215,10 +222,9 @@ class ExperimentConfig:
             nn_depth_max=nn_depth_max,
             mode=mode,
             seed=seed,
-            repetitions=_as_int(data.get("repetitions", 1), "config.repetitions"),
             mc_trajectories=_as_int(data.get("mc_trajectories", 200),
                                     "config.mc_trajectories"),
-            output_dir=str(data.get("output_dir", "out")),
+            output_dir=output_dir,
         )
 
     @classmethod
@@ -235,34 +241,6 @@ class ExperimentConfig:
         if overrides:
             data = apply_overrides(data, overrides)
         return cls.from_dict(data, base_dir=path.parent)
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-serializable form (inf rendered as the string 'inf')."""
-        return _json_value({
-            "schema": SCHEMA_VERSION,
-            "system": {"name": self.system, "params": dict(self.system_params)},
-            "network": self.network,
-            "initial_set": {"lo": list(self.initial_lo), "hi": list(self.initial_hi)},
-            "disturbance": {"lo": list(self.disturbance_lo), "hi": list(self.disturbance_hi)},
-            "control": (
-                {"instants": list(self.control_instants)}
-                if self.control_instants is not None
-                else {"period": self.control_period}
-            ),
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "algorithm": {
-                "eps": list(self.eps),
-                "gamma": self.gamma,
-                "depth_max": self.depth_max,
-                "nn_depth_max": self.nn_depth_max,
-                "mode": self.mode,
-            },
-            "seed": self.seed,
-            "repetitions": self.repetitions,
-            "mc_trajectories": self.mc_trajectories,
-            "output_dir": self.output_dir,
-        })
 
 
 def apply_overrides(data: dict, overrides) -> dict:

@@ -13,7 +13,7 @@ evaluate the one relaxation map of the inclusion function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_GRID_DENSITY = 5  # grid fractions per axis in low dimensions
+_FD_STEP = 1e-6    # central-difference step relative to max(1, |x|)
 
 
 def halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
@@ -54,18 +56,18 @@ def halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
     return r
 
 
-def fd_jacobian(fun, X, rel_step: float = 1e-6) -> np.ndarray:
+def fd_jacobian(fun, X) -> np.ndarray:
     """Central-difference Jacobians of ``fun`` at every row of ``X``.
 
     ``X`` is ``(m, d)``.  ``fun(rows, idx)`` maps a ``(k, d)`` row stack to
     ``(k, out)``; ``idx[r]`` is the row of ``X`` that row ``r`` perturbs, so
     ``fun`` can pair it with that sample's other arguments.  All ``2 d m``
     perturbed rows go to ``fun`` in one call, each axis moved by
-    ``h = rel_step * max(1, |x|)``.  Returns ``(m, out, d)``.
+    ``h = 1e-6 * max(1, |x|)``.  Returns ``(m, out, d)``.
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape
-    h = (rel_step * np.maximum(1.0, np.abs(X))).T  # (d, m)
+    h = (_FD_STEP * np.maximum(1.0, np.abs(X))).T  # (d, m)
     # rows [sign, axis, sample]: X with axis k of its sample moved by +h / -h
     rows = np.broadcast_to(X, (2, d, m, d)).copy()
     axes = np.arange(d)
@@ -90,8 +92,6 @@ class ContractionEstimate:
     l_u: float
     l_w: float
     lip_inf: float
-    region: list = field(default_factory=list)
-    method: str = "grid"
     sample_count: int = 0
 
     @property
@@ -136,7 +136,7 @@ def error_bound(est, t: float, init_err: float, nn_err_sup: float,
 # ---------------------------------------------------------------------------
 # Sampling and analysis fields.
 
-def _sample_pairs(box: IntervalVector, grid_density: int, samples_per_box: int):
+def _sample_pairs(box: IntervalVector, samples_per_box: int):
     """Deterministic ordered pairs ``(A, B)``, ``(S, n)`` arrays with ``A <= B`` inside ``box``.
 
     Uses per-axis endpoint grids when the combinatorics stay small and
@@ -145,11 +145,11 @@ def _sample_pairs(box: IntervalVector, grid_density: int, samples_per_box: int):
     ordering boundary.
     """
     n = box.n
-    n_axis_pairs = grid_density * (grid_density + 1) // 2
+    n_axis_pairs = _GRID_DENSITY * (_GRID_DENSITY + 1) // 2
     if n_axis_pairs ** n <= 512:
-        g = np.linspace(0.0, 0.9, grid_density)
+        g = np.linspace(0.0, 0.9, _GRID_DENSITY)
         # fractions (fa, fb) with fb - fa >= 0.1 so pairs stay separated
-        i, j = np.triu_indices(grid_density)
+        i, j = np.triu_indices(_GRID_DENSITY)
         pair_fa = g[i]
         pair_fb = pair_fa + 0.1 + 0.9 * (g[j] - pair_fa)
         # sample s takes axis pair (s // n_axis_pairs**ax) % n_axis_pairs on axis ax
@@ -170,9 +170,7 @@ def _sup(start: float, values) -> float:
     return max([start, *np.ravel(values).tolist()])
 
 
-def estimate_contraction(emb, region, grid_density: int = 5,
-                         samples_per_box: int = 32,
-                         fd_step: float = 1e-6) -> ContractionEstimate:
+def estimate_contraction(emb, region, samples_per_box: int = 32) -> ContractionEstimate:
     """Sample every contraction/Lipschitz figure over one shared sample set.
 
     The closed-loop rate, the open-loop rate, and the input/disturbance
@@ -183,24 +181,24 @@ def estimate_contraction(emb, region, grid_density: int = 5,
 
     Every sample pair of the region is differenced at once: each Jacobian
     below is one :func:`fd_jacobian` call over all samples, with the row
-    stacks that ``open_field`` and the inclusion function accept.
+    stacks that ``open_field`` and the inclusion function accept.  A region
+    box that leaves the relaxation's domain raises ``DomainError``.
     """
     region = list(region)
     if not region:
         raise ValueError("region must contain at least one box")
-    if grid_density < 1 or samples_per_box < 1:
+    if samples_per_box < 1:
         # no sample pairs: the maxima would report an infinite contraction rate
-        raise ValueError("grid_density and samples_per_box must be at least 1")
+        raise ValueError("samples_per_box must be at least 1")
     incl = emb.incl
     if incl is None:
         raise RuntimeError("embedding has no inclusion function; call refresh_control")
     open_field = emb.open_field
     n, p, q = emb.n, emb.p, emb.q
     for box in region:
-        if not incl.domain.contains_box(box, slack=1e-9):
-            raise ValueError("region leaves the inclusion function's domain")
+        incl.check_domain(box.lo, box.hi)
 
-    pairs = [_sample_pairs(box, grid_density, samples_per_box) for box in region]
+    pairs = [_sample_pairs(box, samples_per_box) for box in region]
     A = np.concatenate([a for a, _ in pairs])
     B = np.concatenate([b for _, b in pairs])
     states = np.concatenate([A, B], axis=1)
@@ -213,7 +211,7 @@ def estimate_contraction(emb, region, grid_density: int = 5,
         a, b = rows[:, :n], rows[:, n:]
         return open_field(a, b, *incl(a, b, check=False), Wlo[idx], Whi[idx])
 
-    c_x = _sup(-math.inf, matrix_measure_inf(fd_jacobian(closed_field, states, fd_step)))
+    c_x = _sup(-math.inf, matrix_measure_inf(fd_jacobian(closed_field, states)))
 
     ulo, uhi = incl(A, B, check=False)
     umid = 0.5 * (ulo + uhi)
@@ -226,12 +224,12 @@ def estimate_contraction(emb, region, grid_density: int = 5,
         def open_at_state(rows, idx):
             return open_field(rows[:, :n], rows[:, n:], Ulo[idx], Uhi[idx], Wlo[idx], Whi[idx])
 
-        open_rates.append(matrix_measure_inf(fd_jacobian(open_at_state, states, fd_step)))
+        open_rates.append(matrix_measure_inf(fd_jacobian(open_at_state, states)))
         if p:
             def open_at_u(rows, idx):
                 return open_field(A[idx], B[idx], rows[:, :p], rows[:, p:], Wlo[idx], Whi[idx])
 
-            J_u = fd_jacobian(open_at_u, np.concatenate([Ulo, Uhi], axis=1), fd_step)
+            J_u = fd_jacobian(open_at_u, np.concatenate([Ulo, Uhi], axis=1))
             u_gains.append(np.abs(J_u).sum(axis=-1).max(axis=-1))
     # rows are samples and columns input pairs: a per-sample loop's order
     c_x_open = _sup(-math.inf, np.stack(open_rates, axis=1))
@@ -241,16 +239,13 @@ def estimate_contraction(emb, region, grid_density: int = 5,
         def open_at_w(rows, idx):
             return open_field(A[idx], B[idx], ulo[idx], uhi[idx], rows[:, :q], rows[:, q:])
 
-        J_w = fd_jacobian(open_at_w, np.concatenate([Wlo, Whi], axis=1), fd_step)
+        J_w = fd_jacobian(open_at_w, np.concatenate([Wlo, Whi], axis=1))
         l_w = _sup(0.0, np.abs(J_w).sum(axis=-1).max(axis=-1))
 
     lip = incl.state_lipschitz_inf()
-    n_axis_pairs = grid_density * (grid_density + 1) // 2
     return ContractionEstimate(
         c_x=float(c_x), c_x_open=float(c_x_open), l_u=float(l_u),
-        l_w=float(l_w), lip_inf=float(lip), region=region,
-        method="grid" if n_axis_pairs ** n <= 512 else "sample",
-        sample_count=count,
+        l_w=float(l_w), lip_inf=float(lip), sample_count=count,
     )
 
 

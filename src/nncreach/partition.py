@@ -171,7 +171,7 @@ class ReachTube:
 # Closed-loop models: package system + controller + time structure so the
 # engine can stay agnostic of continuous vs discrete integration.
 
-def _build_instants(t0, horizon, control_period, control_instants):
+def _build_instants(horizon, control_period, control_instants):
     if control_instants is not None:
         inst = [float(t) for t in control_instants]
         if len(inst) < 2 or any(b - a <= 0 for a, b in zip(inst, inst[1:])):
@@ -181,8 +181,8 @@ def _build_instants(t0, horizon, control_period, control_instants):
         return inst
     if control_period is None or control_period <= 0:
         raise ValueError("a positive control period or explicit instants are required")
-    m = max(1, math.ceil((horizon - t0) / control_period - _GRID_TOL))
-    return [t0 + j * control_period for j in range(m + 1)]
+    m = max(1, math.ceil(horizon / control_period - _GRID_TOL))
+    return [float(j * control_period) for j in range(m + 1)]
 
 
 class ContinuousClosedLoopModel:
@@ -190,15 +190,15 @@ class ContinuousClosedLoopModel:
 
     def __init__(self, sys: OpenLoopSystem, net, horizon: float, dt: float,
                  control_period: float | None = None,
-                 control_instants=None, w_box=None, t0: float = 0.0):
+                 control_instants=None, w_box=None):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if horizon <= t0:
+        if horizon <= 0:
             raise ValueError("final time must exceed the initial time")
         self.sys = sys
         self.net = net
         self.dt = float(dt)
-        self.instants = _build_instants(t0, horizon, control_period, control_instants)
+        self.instants = _build_instants(horizon, control_period, control_instants)
         self.t0 = self.instants[0]
         self._steps = []
         for a, b in zip(self.instants, self.instants[1:]):

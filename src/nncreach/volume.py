@@ -9,13 +9,9 @@ from .partition import ReachTube
 __all__ = ["hull_volume", "union_area_raster"]
 
 
-def hull_volume(tube: ReachTube, t: float, coords=None) -> float:
-    """Product of hull widths over the selected coordinates at time ``t``."""
-    hull = tube.hull_at(tube.time_index(t))
-    w = hull.width
-    if coords is None:
-        coords = range(len(w))
-    return float(np.prod([w[i] for i in coords]))
+def hull_volume(tube: ReachTube, t: float) -> float:
+    """Product of the hull's widths at time ``t``."""
+    return float(np.prod(tube.hull_at(tube.time_index(t)).width))
 
 
 def union_area_raster(boxes, coords=(0, 1), resolution: int = 1000) -> float:

@@ -374,10 +374,6 @@ class TestVolumes:
         tube = manual_tube([stack])
         assert hull_volume(tube, 0.0) == 2.0
 
-    def test_hull_volume_coordinate_subset(self):
-        tube = manual_tube([[[[0.0, 0.0, -1.0], [1.0, 2.0, 1.0]]]])
-        assert hull_volume(tube, 0.0, coords=(0, 1)) == 2.0
-
     def test_off_grid_time_rejected(self):
         tube = manual_tube([[[[0.0], [1.0]]], [[[0.0], [1.0]]]])
         with pytest.raises(ValueError, match="grid"):
