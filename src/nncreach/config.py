@@ -4,7 +4,8 @@ Configs are JSON documents (schema version 1).  Infinite tolerances may be
 written as the string ``"inf"``.  A relative ``network`` path resolves
 against the config file's directory when loaded from disk; ``output_dir``
 is used as written, so a relative one resolves against the working
-directory.
+directory.  A key outside the schema is a :class:`ConfigError` naming its
+path, in every object but ``system.params``, which the plant checks.
 """
 
 from __future__ import annotations
@@ -62,9 +63,14 @@ def _need(data: dict, key: str, where: str):
     return data[key]
 
 
-def _as_object(value, where: str) -> dict:
+def _as_object(value, where: str, keys=None) -> dict:
+    """``value`` as a JSON object, whose keys must all be among ``keys`` if given."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"{where}.{key}: unknown key (known: {', '.join(keys)})")
     return value
 
 
@@ -125,6 +131,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
+        _as_object(data, "config", ("schema", "system", "network", "initial_set",
+                                    "disturbance", "control", "dt", "horizon",
+                                    "algorithm", "seed", "mc_trajectories", "output_dir"))
         schema = _as_int(data.get("schema", SCHEMA_VERSION), "config.schema")
         if schema != SCHEMA_VERSION:
             raise ConfigError(f"config: unsupported schema version {schema}")
@@ -133,7 +142,9 @@ class ExperimentConfig:
         if isinstance(sysdata, str):
             sysname, sysparams = sysdata, {}
         elif isinstance(sysdata, dict):
+            _as_object(sysdata, "config.system", ("name", "params"))
             sysname = _need(sysdata, "name", "config.system")
+            # free-form: the plant factory checks its own parameters
             sysparams = _as_object(sysdata.get("params", {}), "config.system.params")
         else:
             raise ConfigError("config.system must be a name or an object")
@@ -144,19 +155,21 @@ class ExperimentConfig:
         if base_dir is not None and not Path(network).is_absolute():
             network = str((base_dir / network).resolve())
 
-        init = _as_object(_need(data, "initial_set", "config"), "config.initial_set")
+        init = _as_object(_need(data, "initial_set", "config"), "config.initial_set",
+                          ("lo", "hi"))
         lo = _float_list(_need(init, "lo", "config.initial_set"), "config.initial_set.lo")
         hi = _float_list(_need(init, "hi", "config.initial_set"), "config.initial_set.hi")
         if len(lo) != len(hi):
             raise ConfigError("config.initial_set: lo and hi lengths differ")
 
-        dist = _as_object(data.get("disturbance", {}), "config.disturbance")
+        dist = _as_object(data.get("disturbance", {}), "config.disturbance", ("lo", "hi"))
         dlo = _float_list(dist.get("lo", []), "config.disturbance.lo")
         dhi = _float_list(dist.get("hi", []), "config.disturbance.hi")
         if len(dlo) != len(dhi):
             raise ConfigError("config.disturbance: lo and hi lengths differ")
 
-        control = _as_object(data.get("control", {}), "config.control")
+        control = _as_object(data.get("control", {}), "config.control",
+                             ("period", "instants"))
         period = control.get("period")
         instants = control.get("instants")
         if period is not None:
@@ -169,7 +182,8 @@ class ExperimentConfig:
         dt = _as_finite(_need(data, "dt", "config"), "config.dt")
         horizon = _as_finite(_need(data, "horizon", "config"), "config.horizon")
 
-        alg = _as_object(_need(data, "algorithm", "config"), "config.algorithm")
+        alg = _as_object(_need(data, "algorithm", "config"), "config.algorithm",
+                         ("eps", "gamma", "depth_max", "nn_depth_max", "mode"))
         eps_raw = _need(alg, "eps", "config.algorithm")
         if isinstance(eps_raw, list):
             eps = _float_list(eps_raw, "config.algorithm.eps")
@@ -372,7 +386,7 @@ def summarize(exp: Experiment, tube: ReachTube, wall_time: float) -> dict:
     }
     if exp.model.n >= 2:
         summary["final_union_area_xy"] = union_area_raster(
-            tube.boxes[-1], coords=(0, 1), resolution=_RASTER_RESOLUTION
+            tube.boxes[-1], resolution=_RASTER_RESOLUTION
         )
         summary["raster_resolution"] = _RASTER_RESOLUTION
     return summary

@@ -33,19 +33,22 @@ __all__ = [
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _GRID_DENSITY = 5  # grid fractions per axis in low dimensions
 _FD_STEP = 1e-6    # central-difference step relative to max(1, |x|)
+_HALTON_SKIP = 20  # leading points of the sequence left out
 
 
-def halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
+def halton(count: int, dims: int) -> np.ndarray:
     """Deterministic low-discrepancy points in ``[0, 1)^dims``.
 
-    Point ``i`` is the radical inverse of ``i + skip + 1`` in the ``d``-th
-    prime base on axis ``d``, summed digit by digit from the least
-    significant one; all points and axes take each digit position at once.
+    Point ``i`` is the radical inverse of ``i + 21`` (the first 20 points
+    are skipped) in the ``d``-th prime base on axis ``d``, summed digit by
+    digit from the least significant one; all points and axes take each
+    digit position at once.
     """
     if dims > len(_PRIMES):
         raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
     base = np.array(_PRIMES[:dims])
-    k = np.repeat(np.arange(skip + 1, skip + 1 + count)[:, None], dims, axis=1)
+    k = np.repeat(np.arange(_HALTON_SKIP + 1, _HALTON_SKIP + 1 + count)[:, None], dims,
+                  axis=1)
     f = np.ones(dims)
     r = np.zeros((count, dims))
     while k.any():

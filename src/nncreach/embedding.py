@@ -6,11 +6,16 @@ single trajectory of the embedding then bounds every trajectory of the
 original system that starts inside the initial box.
 
 Systems can supply either a closed-form decomposition or a batched
-interval extension of ``f``.  Given only an extension, the tight
-decomposition is synthesized by pinning one coordinate at a time and
-taking the matching end of the enclosure; given only a decomposition, it
-is wrapped once as an extension that is read on face rows, where the
-pinned component is the decomposition's bound for that face.
+interval extension of ``f``.  An extension comes in two stages:
+``prepare(Ulo, Uhi, Wlo, Whi) -> inputs`` does the work that depends only
+on the input and disturbance rows, and ``extension(Xlo, Xhi, inputs)``
+the state-dependent rest; without a ``prepare`` the inputs are the row
+tuple itself.  Given only an extension, the tight decomposition is
+synthesized by pinning one coordinate at a time and taking the matching
+end of the enclosure; given only a decomposition, it is wrapped once as
+an extension (with the row tuple as its inputs) that is read on face
+rows, where the pinned component is the decomposition's bound for that
+face.
 
 The closed loop with a sampled neural-network controller is handled by
 :class:`ClosedLoopEmbedding`: at every control instant the network is
@@ -18,20 +23,22 @@ relaxed over the current box and the resulting output intervals are
 evaluated on the ``2n`` faces of that box in one call, whose bits hold
 per ``2n``-row face block (a lone row may differ in the last place).
 Those face intervals stay frozen while the embedding is integrated
-across the control interval.
+across the control interval, so they go through ``prepare`` once, at the
+control instant, and every Euler step makes one ``extension`` call.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows``, as one gather from
 the stacked endpoints through an index table made once per dimension, and
 read back by ``_face_field``.  Every field goes through ``_faces_field``,
 one extension call on those rows, whichever of the two a plant supplies:
-the open-loop field :meth:`ClosedLoopEmbedding.open_field` repeats its
-input and disturbance pairs on each face block, and the closed-loop
-:meth:`ClosedLoopEmbedding.field` passes the per-face control intervals
-frozen at the control instant.  A closed-loop state is pinned at its own
-ends, so its faces are gathered straight from the flat state ``[lo, hi]``
-through the same table taken modulo ``2n``.  Only the reference
-:func:`build_tight_decomposition` lays out faces on its own.
+the open-loop field :meth:`ClosedLoopEmbedding.open_field` prepares its
+input and disturbance pairs repeated on each face block, and the
+closed-loop :meth:`ClosedLoopEmbedding.field` passes the inputs prepared
+from the per-face control intervals at the control instant.  A
+closed-loop state is pinned at its own ends, so its faces are gathered
+straight from the flat state ``[lo, hi]`` through the same table taken
+modulo ``2n``.  Only the reference :func:`build_tight_decomposition` lays
+out faces on its own.
 """
 
 from __future__ import annotations
@@ -77,15 +84,21 @@ def _orientation(x, xh, u, uh, w, wh) -> bool:
     return True
 
 
-def build_tight_decomposition(extension):
+def _row_inputs(Ulo, Uhi, Wlo, Whi):
+    """The default ``prepare``: the input and disturbance rows as given."""
+    return Ulo, Uhi, Wlo, Whi
+
+
+def build_tight_decomposition(extension, prepare=_row_inputs):
     """Decomposition function from a sound enclosure oracle for ``f``.
 
-    ``extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)`` receives row-stacked boxes
-    (all arguments shaped ``(m, dim)``) and must return componentwise
-    enclosures ``(Flo, Fhi)`` of ``f`` over each row's box, exact on
-    degenerate boxes and isotone under box inclusion.  Extensions must not
-    modify their argument arrays (the engine reuses its per-interval input
-    and disturbance rows across calls).
+    ``extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))`` receives
+    row-stacked boxes (all arrays shaped ``(m, dim)``) and must return
+    componentwise enclosures ``(Flo, Fhi)`` of ``f`` over each row's box,
+    exact on degenerate boxes and isotone under box inclusion.  Neither
+    stage may modify its arguments: the engine prepares the input and
+    disturbance rows once per control interval and passes the prepared
+    inputs to every extension call of that interval.
 
     The returned ``d(x, xh, u, uh, w, wh)`` pins coordinate ``i`` of the
     state span at ``x_i`` and takes the lower (forward argument order) or
@@ -110,7 +123,7 @@ def build_tight_decomposition(extension):
         Uhi = np.tile(np.maximum(u, uh), (n, 1))
         Wlo = np.tile(np.minimum(w, wh), (n, 1))
         Whi = np.tile(np.maximum(w, wh), (n, 1))
-        flo, fhi = extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi)
+        flo, fhi = extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))
         # written so that a NaN enclosure fails the check too
         if not (fhi - flo >= -_EXTENSION_TOL).all():
             raise ValueError("interval extension returned crossed enclosures")
@@ -133,9 +146,11 @@ class OpenLoopSystem:
         Optional closed-form decomposition ``d(x, xh, u, uh, w, wh)``.  It
         must accept ``(m, ·)`` row stacks, as ``f`` does, as well as single
         vectors; the shapes of one call on ``2n`` rows are checked here.
-    extension:
-        Optional batched interval enclosure of ``f`` (see
-        :func:`build_tight_decomposition`).  At least one of ``d`` and
+    extension, prepare:
+        Optional batched interval enclosure of ``f`` in two stages,
+        ``extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))`` (see
+        :func:`build_tight_decomposition`); ``prepare`` defaults to the
+        row tuple ``(Ulo, Uhi, Wlo, Whi)``.  At least one of ``d`` and
         ``extension`` is required.  With only ``extension`` the tight
         decomposition is synthesized; with only ``d``, ``self.extension``
         stays ``None`` and the embedding reads ``d`` in forward (lower
@@ -144,17 +159,21 @@ class OpenLoopSystem:
         the one component the face kernel reads.
     """
 
-    def __init__(self, n, p, q, f, d=None, extension=None, name=""):
+    def __init__(self, n, p, q, f, d=None, extension=None, prepare=None, name=""):
         if d is None and extension is None:
             raise ValueError("supply a decomposition function or an interval extension")
+        if prepare is not None and extension is None:
+            raise ValueError("prepare is the first stage of an interval extension")
         self.n = int(n)
         self.p = int(p)
         self.q = int(q)
         self.f = f
-        self.d = d if d is not None else build_tight_decomposition(extension)
+        self.prepare = _row_inputs if prepare is None else prepare
+        self.d = d if d is not None else build_tight_decomposition(extension, self.prepare)
         self.extension = extension
         if extension is None:
-            def extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+            def extension(Xlo, Xhi, inputs):
+                Ulo, Uhi, Wlo, Whi = inputs
                 return d(Xlo, Xhi, Ulo, Uhi, Wlo, Whi), d(Xhi, Xlo, Uhi, Ulo, Whi, Wlo)
 
             _check_face_stack(extension, self.n, self.p, self.q)
@@ -182,10 +201,10 @@ def _check_face_stack(extension, n, p, q) -> None:
 
     Only shapes are checked: a sound plant may be undefined at the probe.
     """
-    rows = [np.zeros((2 * n, k)) for k in (n, n, p, p, q, q)]
+    Xlo, Xhi, *rows = (np.zeros((2 * n, k)) for k in (n, n, p, p, q, q))
     with np.errstate(all="ignore"):
         try:
-            shapes = [np.shape(v) for v in extension(*rows)]
+            shapes = [np.shape(v) for v in extension(Xlo, Xhi, _row_inputs(*rows))]
         except ValueError as exc:
             raise ValueError(f"d must accept (m, ·) row stacks: {exc}") from None
     if shapes != [(2 * n, n)] * 2:
@@ -246,16 +265,14 @@ def _face_field(flo, fhi) -> np.ndarray:
     return np.concatenate([flo.diagonal(0, -2, -1), fhi.diagonal(-n, -2, -1)], axis=-1)
 
 
-def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, u_rows, w_rows) -> np.ndarray:
+def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, inputs) -> np.ndarray:
     """Embedding field from one extension call on face blocks ``(Xlo, Xhi)``.
 
-    ``u_rows`` and ``w_rows`` are ordered ``(lo, hi)`` pairs of input and
-    disturbance rows, one row per face row; ``(m, 2n, n)`` blocks go to the
-    extension as one ``(m * 2n, n)`` call.
+    ``inputs`` is ``sys.prepare`` of the ordered input and disturbance
+    rows, one row per face row; ``(m, 2n, n)`` blocks go to the extension
+    as one ``(m * 2n, n)`` call.
     """
-    rows = u_rows[0].shape[0]
-    flo, fhi = sys._face_extension(Xlo.reshape(rows, sys.n), Xhi.reshape(rows, sys.n),
-                                   *u_rows, *w_rows)
+    flo, fhi = sys._face_extension(Xlo.reshape(-1, sys.n), Xhi.reshape(-1, sys.n), inputs)
     return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
 
 
@@ -319,10 +336,10 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         else:
             self.w_lo, self.w_hi = _require_pair(w_box, sys.q, "disturbance")
         self.incl: InclusionFunction | None = None
-        # face rows of the input (per refresh) and of the disturbance (per
-        # embedding), passed to every extension call (so extensions must not
-        # write into them)
-        self._u_spans = None
+        # what sys.prepare makes of the face rows of the input (per refresh)
+        # and of the disturbance (tiled once per embedding), passed to every
+        # extension call of the interval (so extensions must not write into it)
+        self._inputs = None
         self._w_rows = tuple(np.tile(w, (2 * self.n, 1)) for w in (self.w_lo, self.w_hi))
         # _face_rows of a state pinned at its own ends, gathered from the
         # (2n,) state [lo, hi] instead of from [lo, hi, lo, hi]
@@ -343,17 +360,17 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         # faces lie inside the box the relaxation was built on or checked against
         faces = np.concatenate((box.lo, box.hi)).take(self._state_faces)
         rows_lo, rows_hi = self.incl(*faces, check=False)
-        self._u_spans = (
+        self._inputs = self.sys.prepare(
             np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
             np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]),
+            *self._w_rows,
         )
 
     def _state_field(self, state) -> np.ndarray:
         """Closed-loop field at a flat ordered state ``[lo, hi]``: one extension call."""
-        if self._u_spans is None:
+        if self._inputs is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
-        return _faces_field(self.sys, *state.take(self._state_faces), self._u_spans,
-                            self._w_rows)
+        return _faces_field(self.sys, *state.take(self._state_faces), self._inputs)
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
@@ -374,7 +391,7 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
 
         The arguments are single vectors or ``(m, ·)`` row stacks, all six
         alike; a stack gives the ``(m, 2n)`` fields of its rows with one
-        extension call.
+        ``prepare`` and one extension call.
         """
         block = a.shape[:-1] + (2 * self.n,)
         rows = math.prod(block)  # explicit: reshape(-1, 0) fails when q = 0
@@ -386,7 +403,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
 
         faces = _face_rows(np.minimum(a, b)[..., None, :], np.maximum(a, b)[..., None, :],
                            a, b)
-        return _faces_field(self.sys, *faces, per_face(ulo, uhi), per_face(wlo, whi))
+        inputs = self.sys.prepare(*per_face(ulo, uhi), *per_face(wlo, whi))
+        return _faces_field(self.sys, *faces, inputs)
 
 
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):

@@ -89,20 +89,28 @@ class VehicleSystem:
             u1 + np.zeros_like(v),
         ], axis=-1)
 
-    def extension(self, Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
-        """Exact componentwise enclosure over row-stacked boxes.
+    def prepare(self, Ulo, Uhi, Wlo, Whi):
+        """The input-only part of :meth:`extension`, done once per control interval.
+
+        Both input ends are saturated as one ``(2, m, 2)`` block; returns
+        the ``(end, row)`` slip angles, their sines and the force column,
+        the last two shaped ``(end, 1, row)`` to stack with the state terms.
+        """
+        U = np.minimum(np.maximum(np.array((Ulo, Uhi)), self._u_neg_lim), self._u_lim)
+        b = np.arctan(self._k * np.tan(U[..., 1]))
+        return b, np.sin(b)[:, None], U[:, None, :, 0]
+
+    def extension(self, Xlo, Xhi, inputs):
+        """Exact componentwise enclosure over row-stacked boxes, given :meth:`prepare`'s inputs.
 
         The work is laid out as a few stacked arrays, so that the cost of a
         call is a fixed number of numpy operations whatever the row count:
-        both input ends are saturated as one ``(2, m, 2)`` block, the cos and
-        sin ranges of the heading come from one cos range over the stacked
-        ends of ``[t, t - pi/2]``, and the three products share one
-        :func:`interval_mul` over ``(3, m)`` stacks.  Both enclosure ends
-        are views of one array.
+        the cos and sin ranges of the heading come from one cos range over
+        the stacked ends of ``[t, t - pi/2]``, and the three products share
+        one :func:`interval_mul` over ``(3, m)`` stacks.  Both enclosure
+        ends are views of one array.
         """
-        # (end, row, input) saturated inputs and (end, row) slip angles
-        U = np.minimum(np.maximum(np.array((Ulo, Uhi)), self._u_neg_lim), self._u_lim)
-        b = np.arctan(self._k * np.tan(U[..., 1]))
+        b, sin_b, force = inputs
         # (end, cos | sin, row) heading plus slip: cos of t - pi/2 is the sin range
         x = np.array((Xlo[:, 2:], Xhi[:, 2:]))
         t = (x[..., 0] + b)[:, None] - _TRIG_SHIFTS
@@ -110,15 +118,15 @@ class VehicleSystem:
         # stacked (end, component, row); beta stays in (-pi/2, pi/2), where
         # sin is increasing
         a = x[:, None, :, 1] / self._factor_divisors
-        c = np.concatenate((_cos_range(t), np.sin(b)[:, None]), axis=1)
+        c = np.concatenate((_cos_range(t), sin_b), axis=1)
         prod = np.array(interval_mul(a[0], a[1], c[0], c[1]))
-        f = np.concatenate((prod, U[:, None, :, 0]), axis=1)
+        f = np.concatenate((prod, force), axis=1)
         f = f.transpose(0, 2, 1)
         return f[0], f[1]
 
     def open_loop(self) -> OpenLoopSystem:
-        return OpenLoopSystem(self.n, self.p, self.q, self.f,
-                              extension=self.extension, name="vehicle")
+        return OpenLoopSystem(self.n, self.p, self.q, self.f, extension=self.extension,
+                              prepare=self.prepare, name="vehicle")
 
     def build_model(self, net, horizon: float, dt: float, control_period=None,
                     control_instants=None, w_box=None):

@@ -14,8 +14,8 @@ def hull_volume(tube: ReachTube, t: float) -> float:
     return float(np.prod(tube.hull_at(tube.time_index(t)).width))
 
 
-def union_area_raster(boxes, coords=(0, 1), resolution: int = 1000) -> float:
-    """Area of the union of boxes projected onto two coordinates.
+def union_area_raster(boxes, resolution: int = 1000) -> float:
+    """Area of the union of boxes projected onto the first two coordinates.
 
     ``boxes`` is a ``(B, 2, n)`` endpoint array, one ``[lo, hi]`` per box,
     as :class:`ReachTube` holds them per time step.  The projected hull is
@@ -33,11 +33,10 @@ def union_area_raster(boxes, coords=(0, 1), resolution: int = 1000) -> float:
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     arr = np.asarray(boxes, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] != 2:
-        raise ValueError("boxes must be shaped (B, 2, n)")
-    i, j = coords
-    lo = arr[:, 0][:, (i, j)]
-    hi = arr[:, 1][:, (i, j)]
+    if arr.ndim != 3 or arr.shape[1] != 2 or arr.shape[2] < 2:
+        raise ValueError("boxes must be shaped (B, 2, n) with n >= 2")
+    lo = arr[:, 0, :2]
+    hi = arr[:, 1, :2]
     xmin, ymin = lo.min(axis=0)
     xmax, ymax = hi.max(axis=0)
     if xmax <= xmin or ymax <= ymin:

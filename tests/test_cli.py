@@ -49,6 +49,13 @@ class TestConfigParsing:
         assert cfg.system == "double-integrator"
         assert cfg.depth_max == 3 and cfg.nn_depth_max == 1
 
+    def test_system_params_are_left_to_the_plant(self):
+        data = di_config_dict(system={"name": "vehicle", "params": {"l_ff": 1.0}})
+        cfg = ExperimentConfig.from_dict(data)
+        assert cfg.system_params == {"l_ff": 1.0}
+        with pytest.raises(ConfigError, match="config.system: .*l_ff"):
+            build_experiment(cfg)
+
     def test_missing_key_reported_with_path(self):
         data = di_config_dict()
         del data["initial_set"]
@@ -127,7 +134,8 @@ class TestBuildExperiment:
         def f(x, u, w=None):
             return np.stack([x[..., 1], u[..., 0]], axis=-1)
 
-        def extension(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        def extension(Xlo, Xhi, inputs):
+            Ulo, Uhi, _, _ = inputs  # the rows themselves, as no prepare is given
             return (np.stack([Xlo[:, 1], Ulo[:, 0]], axis=1),
                     np.stack([Xhi[:, 1], Uhi[:, 0]], axis=1))
 
@@ -269,6 +277,13 @@ class TestCommandLine:
         (["--set", "network=5"], "config.network"),
         (["--set", "output_dir=null"], "config.output_dir"),
         (["--set", "schema=true"], "config.schema"),
+        (["--set", "depth_maxx=6"], "config.depth_maxx: unknown key"),
+        (["--set", "algorithm.depth_maxx=6"], "config.algorithm.depth_maxx: unknown key"),
+        (["--set", "repetitions=3"], "config.repetitions: unknown key"),
+        (["--set", "system.nam=vehicle"], "config.system.nam: unknown key"),
+        (["--set", "initial_set.low=[0]"], "config.initial_set.low: unknown key"),
+        (["--set", "disturbance.high=[]"], "config.disturbance.high: unknown key"),
+        (["--set", "control.periode=1"], "config.control.periode: unknown key"),
     ])
     def test_bad_values_exit_as_config_errors(self, tmp_path, capsys, plant, args, where):
         if plant == "vehicle":

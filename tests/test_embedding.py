@@ -172,7 +172,8 @@ class TestTightDecomposition:
         Ap, An = np.maximum(A, 0), np.minimum(A, 0)
         Bp, Bn = np.maximum(B, 0), np.minimum(B, 0)
 
-        def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        def ext(Xlo, Xhi, inputs):
+            Ulo, Uhi, _, _ = inputs
             flo = Xlo @ Ap.T + Xhi @ An.T + Ulo @ Bp.T + Uhi @ Bn.T
             fhi = Xhi @ Ap.T + Xlo @ An.T + Uhi @ Bp.T + Ulo @ Bn.T
             return flo, fhi
@@ -197,7 +198,7 @@ class TestTightDecomposition:
                                d_closed(xh, x, uh, u, w, w), atol=1e-12)
 
     def test_square_field_pinned_evaluation(self):
-        def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        def ext(Xlo, Xhi, inputs):
             lo = np.where((Xlo <= 0) & (Xhi >= 0), 0.0,
                           np.minimum(Xlo ** 2, Xhi ** 2))
             hi = np.maximum(Xlo ** 2, Xhi ** 2)
@@ -217,7 +218,7 @@ class TestTightDecomposition:
               np.zeros(1), np.zeros(1), empty, empty)
 
     def test_crossed_extension_rejected(self):
-        def bad_ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        def bad_ext(Xlo, Xhi, inputs):
             return Xhi + 1.0, Xlo
 
         d = build_tight_decomposition(bad_ext)
@@ -227,7 +228,7 @@ class TestTightDecomposition:
 
     def test_nan_enclosure_rejected(self):
         # f(x) = sqrt(x - 1) is NaN on [0.5, 0.6]: no end of it is a bound
-        def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        def ext(Xlo, Xhi, inputs):
             with np.errstate(invalid="ignore"):
                 return np.sqrt(Xlo - 1.0), np.sqrt(Xhi - 1.0)
 
@@ -373,7 +374,7 @@ class TestClosedLoopEmbedding:
 
     def test_nan_state_raises_at_its_step(self):
         # f(x) = sqrt(x - 1) is NaN on [0.5, 0.6]: the first step must fail
-        def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+        def ext(Xlo, Xhi, inputs):
             with np.errstate(invalid="ignore"):
                 return np.sqrt(Xlo - 1.0), np.sqrt(Xhi - 1.0)
 
@@ -429,6 +430,14 @@ class TestClosedLoopEmbedding:
         assert scalar_leak().extension is None
         veh = VehicleSystem()
         assert veh.open_loop().extension == veh.extension
+
+    def test_prepare_needs_an_extension(self):
+        def f(x, u, w=None):
+            return -x
+
+        with pytest.raises(ValueError, match="first stage"):
+            OpenLoopSystem(1, 1, 0, f, d=lambda x, xh, u, uh, w, wh: -xh,
+                           prepare=lambda *rows: rows)
 
     def test_decomposition_shapes_checked_not_values(self):
         def f(x, u, w=None):
@@ -673,8 +682,7 @@ class TestGatheredStep:
         emb, box = emb_box
         dt = 0.01
         for lo, hi in self.states(np.random.default_rng(17), box):
-            want = _faces_field(emb.sys, *_face_rows(lo, hi, lo, hi), emb._u_spans,
-                                emb._w_rows)
+            want = _faces_field(emb.sys, *_face_rows(lo, hi, lo, hi), emb._inputs)
             assert emb.field(lo, hi).tobytes() == want.tobytes()
             cur = np.stack((lo, hi))
             out = np.empty_like(cur)
@@ -686,27 +694,39 @@ class TestGatheredStep:
         emb, box = emb_box
         n = emb.n
         rows_lo, rows_hi = emb.incl(*_face_rows(box.lo, box.hi, box.lo, box.hi), check=False)
-        want = (np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
-                np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]))
-        for got, w in zip(emb._u_spans, want):
+        u_spans = (np.concatenate([rows_lo[:n], np.minimum(rows_lo[n:], rows_hi[n:])]),
+                   np.concatenate([rows_hi[:n], np.maximum(rows_lo[n:], rows_hi[n:])]))
+        w_rows = [np.tile(w, (2 * n, 1)) for w in (emb.w_lo, emb.w_hi)]
+        want = emb.sys.prepare(*u_spans, *w_rows)
+        assert len(emb._inputs) == len(want)
+        for got, w in zip(emb._inputs, want):
             assert got.tobytes() == w.tobytes()
 
     def test_one_extension_call_per_step(self, emb_box, monkeypatch):
+        """``prepare`` runs once per refresh, the extension once per Euler step on 2n rows."""
         emb, box = emb_box
-        sys, rows = emb.sys, []
-        ext = sys._face_extension
+        sys, prepared, rows = emb.sys, [], []
+        prepare, ext = sys.prepare, sys._face_extension
+
+        def counting_prepare(*args):
+            prepared.append(args[0].shape)
+            return prepare(*args)
 
         def counting(Xlo, *args):
             rows.append(Xlo.shape)
             return ext(Xlo, *args)
 
+        monkeypatch.setattr(sys, "prepare", counting_prepare)
         monkeypatch.setattr(sys, "_face_extension", counting)
-        traj = emb.integrate(box.lo, box.hi, 0.01, 7)
-        assert rows == [(2 * emb.n, emb.n)] * 7
+        for refresh in range(1, 3):
+            emb.refresh_control(box, reverify=False, inherited=emb.incl)
+            traj = emb.integrate(box.lo, box.hi, 0.01, 7)
+            assert prepared == [(2 * emb.n, emb.p)] * refresh
+            assert rows == [(2 * emb.n, emb.n)] * 7 * refresh
         state = traj[0]
         for k in range(7):  # the steps of the face-row field
             faces = _face_rows(state[0], state[1], state[0], state[1])
-            field = _faces_field(sys, *faces, emb._u_spans, emb._w_rows)
+            field = _faces_field(sys, *faces, emb._inputs)
             state = state + 0.01 * field.reshape(2, emb.n)
             assert traj[k + 1].tobytes() == state.tobytes()
 

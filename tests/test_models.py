@@ -83,10 +83,10 @@ class TestVehicleSystem:
         veh = VehicleSystem(u2_max=0.5)
         assert veh.beta(2.0) == pytest.approx(veh.beta(0.5))
         # the extension handles arbitrarily wide wheel-angle intervals
+        inputs = veh.prepare(np.array([[0.0, -50.0]]), np.array([[0.0, 50.0]]),
+                             np.zeros((1, 0)), np.zeros((1, 0)))
         flo, fhi = veh.extension(
-            np.array([[0.0, 0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 0.0, 1.0]]),
-            np.array([[0.0, -50.0]]), np.array([[0.0, 50.0]]),
-            np.zeros((1, 0)), np.zeros((1, 0)))
+            np.array([[0.0, 0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 0.0, 1.0]]), inputs)
         assert np.isfinite(flo).all() and np.isfinite(fhi).all()
 
     def test_extension_soundness_sampled(self):
@@ -98,8 +98,8 @@ class TestVehicleSystem:
             xhi = xlo + rng.uniform(0, 0.5, 4)
             ulo = np.array([rng.uniform(-4, 3), rng.uniform(-0.6, 0.4)])
             uhi = ulo + rng.uniform(0, 0.5, 2)
-            flo, fhi = veh.extension(xlo[None], xhi[None], ulo[None], uhi[None],
-                                     np.zeros((1, 0)), np.zeros((1, 0)))
+            inputs = veh.prepare(ulo[None], uhi[None], np.zeros((1, 0)), np.zeros((1, 0)))
+            flo, fhi = veh.extension(xlo[None], xhi[None], inputs)
             xs = rng.uniform(xlo, xhi, size=(500, 4))
             us = rng.uniform(ulo, uhi, size=(500, 2))
             vals = veh.f(xs, us)
@@ -116,10 +116,12 @@ class TestVehicleSystem:
                 with pytest.raises(ValueError):
                     VehicleSystem(**{name: bad})
 
-    @pytest.mark.parametrize("m", [1, 8, 64])
+    # 8 rows per Euler step of one leaf; 128 and 2,048 rows as stacked faces
+    @pytest.mark.parametrize("m", [1, 8, 64, 128, 2048])
     @pytest.mark.parametrize("params", [{}, {"l_f": 1.5, "l_r": 0.7, "u1_max": 3.0,
                                              "u2_max": 0.5}])
     def test_extension_bitwise_equals_columnwise_formula(self, m, params):
+        """``extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))`` has the reference's bits."""
         veh = VehicleSystem(**params)
         rng = np.random.default_rng(m)
         # heading boxes start at or near multiples of pi/2; widths from
@@ -141,12 +143,15 @@ class TestVehicleSystem:
         w = np.zeros((m, 0))
         args = (xlo, xhi, ulo, uhi, w, w)
         before = [a.copy() for a in args]
-        got = veh.extension(*args)
+        inputs = veh.prepare(ulo, uhi, w, w)
+        prepared = [a.copy() for a in inputs]
+        got = veh.extension(xlo, xhi, inputs)
         want = _columnwise_extension(veh, xlo, xhi, ulo, uhi)
         for g, r in zip(got, want):
             assert g.shape == (m, 4) and g.dtype == r.dtype
             assert g.tobytes() == r.tobytes()
-        for a, b in zip(args, before):  # arguments are left untouched
+        # arguments and prepared inputs are left untouched
+        for a, b in zip([*args, *inputs], [*before, *prepared]):
             assert a.tobytes() == b.tobytes()
 
     def test_custom_axle_ratio_changes_slip(self):

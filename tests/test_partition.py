@@ -43,7 +43,7 @@ def drifting_plant(lower_rate, upper_rate):
     """A 1-D plant whose enclosure has the constant ends ``lower_rate`` and
     ``upper_rate``: with ``lower_rate > upper_rate`` the embedding crosses
     at that rate, an infinite ``upper_rate`` sends the upper end to ``inf``."""
-    def ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+    def ext(Xlo, Xhi, inputs):
         return np.full(Xlo.shape, lower_rate), np.full(Xhi.shape, upper_rate)
 
     return OpenLoopSystem(1, 1, 0, lambda x, u, w=None: np.zeros_like(x), extension=ext,
