@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import IntervalVector
-from .networks import MLPNetwork
+from .networks import ACTIVATIONS, MLPNetwork
 
 __all__ = [
     "LinearBounds",
@@ -51,16 +51,6 @@ def _affine_interval(layer, lo, hi):
     return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
 
 
-def _activation_interval(name, lo, hi):
-    if name == "relu":
-        return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-    if name == "tanh":
-        return np.tanh(lo), np.tanh(hi)
-    if name == "identity":
-        return lo, hi
-    raise ValueError(f"unsupported activation {name!r}")
-
-
 def _preactivation_bounds(net: MLPNetwork, box: IntervalVector):
     """Forward interval pass; returns per-layer pre-activation ranges."""
     if box.n != net.input_dim:
@@ -72,14 +62,15 @@ def _preactivation_bounds(net: MLPNetwork, box: IntervalVector):
     for layer in net.layers:
         zlo, zhi = _affine_interval(layer, lo, hi)
         pre.append((zlo, zhi))
-        lo, hi = _activation_interval(layer.activation, zlo, zhi)
+        act = ACTIVATIONS[layer.activation]  # nondecreasing: ends map to ends
+        lo, hi = act(zlo), act(zhi)
     return pre
 
 
 def ibp_bounds(net: MLPNetwork, box: IntervalVector) -> IntervalVector:
     """Layer-wise interval propagation; contains ``net(x)`` for all x in box."""
-    zlo, zhi = _preactivation_bounds(net, box)[-1]
-    return IntervalVector(*_activation_interval(net.layers[-1].activation, zlo, zhi))
+    # the final layer is affine, so its pre-activation range is the output's
+    return IntervalVector(*_preactivation_bounds(net, box)[-1])
 
 
 @dataclass(frozen=True)

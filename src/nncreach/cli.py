@@ -7,9 +7,9 @@ Subcommands::
     mc      Monte-Carlo containment audit; exit code 2 on any violation
     bounds  contraction diagnostics over the computed tube; writes bounds.json
 
-Exit codes: 0 success, 1 configuration error, 2 soundness violation (mc),
-3 numeric failure (embedding lost its ordering or a model left its
-validity region).
+Exit codes: 0 success, 1 configuration or command-line error, 2 soundness
+violation (mc), 3 numeric failure (embedding lost its ordering or a model
+left its validity region).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .contraction import diagnose
 from .embedding import EmbeddingOrderError
 from .montecarlo import containment_check, sample_trajectories
 from .partition import compute_reachable_set, csv_rows
+from .volume import hull_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,8 +105,7 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
         timings.append(time.perf_counter() - start)
-        hull = tube.final_hull()
-        volumes.append(float(np.prod(hull.width)))
+        volumes.append(hull_volume(tube, tube.times[-1]))
     if max(volumes) - min(volumes) != 0.0:
         print("bench: WARNING: repeated runs disagree on the final volume",
               file=sys.stderr)
@@ -168,8 +168,10 @@ _COMMANDS = {"reach": cmd_reach, "bench": cmd_bench, "mc": cmd_mc, "bounds": cmd
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -37,13 +37,14 @@ closed-loop :meth:`ClosedLoopEmbedding.field` passes the inputs prepared
 from the per-face control intervals at the control instant.  A
 closed-loop state is pinned at its own ends, so its faces are gathered
 straight from the flat state ``[lo, hi]`` through the same table taken
-modulo ``2n``.  Only the reference :func:`build_tight_decomposition` lays
-out faces on its own.
+modulo ``2n``, and :func:`build_tight_decomposition` pins its rows through
+``_face_rows`` too, so faces are laid out only by ``_face_index``.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -115,10 +116,8 @@ def build_tight_decomposition(extension, prepare=_row_inputs):
         lower = _orientation(x, xh, u, uh, w, wh)
         n = x.shape[0]
         idx = np.arange(n)
-        Xlo = np.tile(np.minimum(x, xh), (n, 1))
-        Xhi = np.tile(np.maximum(x, xh), (n, 1))
-        Xlo[idx, idx] = x
-        Xhi[idx, idx] = x
+        # the lower faces of the span pinned at x itself
+        Xlo, Xhi = (F[:n] for F in _face_rows(np.minimum(x, xh), np.maximum(x, xh), x, x))
         Ulo = np.tile(np.minimum(u, uh), (n, 1))
         Uhi = np.tile(np.maximum(u, uh), (n, 1))
         Wlo = np.tile(np.minimum(w, wh), (n, 1))
@@ -164,6 +163,10 @@ class OpenLoopSystem:
             raise ValueError("supply a decomposition function or an interval extension")
         if prepare is not None and extension is None:
             raise ValueError("prepare is the first stage of an interval extension")
+        if extension is not None:
+            _check_arity(extension, "extension", "Xlo", "Xhi", "inputs")
+        if prepare is not None:
+            _check_arity(prepare, "prepare", "Ulo", "Uhi", "Wlo", "Whi")
         self.n = int(n)
         self.p = int(p)
         self.q = int(q)
@@ -196,6 +199,18 @@ class OpenLoopSystem:
                                          w_box=w_box)
 
 
+def _check_arity(stage, what, *params) -> None:
+    """Raise ``ValueError`` unless ``stage`` takes ``params``; makes no call."""
+    try:
+        signature = inspect.signature(stage)
+    except (TypeError, ValueError):  # a signature that cannot be read passes
+        return
+    try:
+        signature.bind(*params)
+    except TypeError as exc:
+        raise ValueError(f"{what} must take ({', '.join(params)}): {exc}") from None
+
+
 def _check_face_stack(extension, n, p, q) -> None:
     """Raise ``ValueError`` unless ``extension`` maps ``2n`` rows to a ``(2n, n)`` pair.
 
@@ -212,6 +227,9 @@ def _check_face_stack(extension, n, p, q) -> None:
 
 
 def _require_pair(pair, dim, what):
+    """``(lo, hi)`` arrays of length ``dim`` from a pair; ``None`` is the zero pair."""
+    if pair is None:
+        return np.zeros(dim), np.zeros(dim)
     if isinstance(pair, IntervalVector):
         lo, hi = pair.lo, pair.hi
     else:
@@ -330,11 +348,7 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
     def __init__(self, sys: OpenLoopSystem, w_box=None):
         self.sys = sys
         self.n, self.p, self.q = sys.n, sys.p, sys.q
-        if w_box is None:
-            self.w_lo = np.zeros(sys.q)
-            self.w_hi = np.zeros(sys.q)
-        else:
-            self.w_lo, self.w_hi = _require_pair(w_box, sys.q, "disturbance")
+        self.w_lo, self.w_hi = _require_pair(w_box, sys.q, "disturbance")
         self.incl: InclusionFunction | None = None
         # what sys.prepare makes of the face rows of the input (per refresh)
         # and of the disturbance (tiled once per embedding), passed to every

@@ -102,9 +102,6 @@ class IntervalVector:
     def center(self) -> np.ndarray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
-    def contains_box(self, other: "IntervalVector") -> bool:
-        return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
-
     def as_array(self) -> np.ndarray:
         """Stack endpoints into shape ``(2, n)``."""
         return np.stack([self.lo, self.hi])

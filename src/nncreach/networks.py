@@ -6,10 +6,13 @@ the final layer is always affine (identity activation).  The JSON schema::
     {"input_dim": n,
      "layers": [{"weights": [[...row...], ...],
                  "bias": [...],
-                 "activation": "relu" | "tanh" | "identity"}, ...]}
+                 "activation": "relu"}, ...]}
 
-``weights`` is a list of rows (one per output neuron).  Extra top-level
-keys such as ``description`` are preserved on load but otherwise ignored.
+``weights`` is a list of rows (one per output neuron).  ``activation``
+(``relu`` when absent) names an entry of :data:`ACTIVATIONS`, the one
+activation table, which the forward pass here and the interval pass of the
+bounds module both read; every activation in it is nondecreasing.  Extra
+top-level keys such as ``description`` are preserved on load but ignored.
 """
 
 from __future__ import annotations
@@ -22,17 +25,11 @@ import numpy as np
 
 __all__ = ["Layer", "MLPNetwork", "ACTIVATIONS"]
 
-ACTIVATIONS = ("relu", "tanh", "identity")
-
-
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+ACTIVATIONS = {
+    "relu": lambda z: np.maximum(z, 0.0),
+    "tanh": np.tanh,
+    "identity": lambda z: z,
+}
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ class MLPNetwork:
                 f"input has dimension {a.shape[-1]}, network expects {self.input_dim}"
             )
         for layer in self.layers:
-            a = _apply_activation(layer.activation, a @ layer.weights.T + layer.bias)
+            a = ACTIVATIONS[layer.activation](a @ layer.weights.T + layer.bias)
         return a[0] if single else a
 
     # -- persistence --------------------------------------------------------

@@ -211,10 +211,7 @@ class ContinuousClosedLoopModel:
         total = sum(self._steps)
         self.times = self.t0 + self.dt * np.arange(total + 1)
         self.w_box = w_box
-        if w_box is None:
-            self._w_lo = self._w_hi = np.zeros(sys.q)
-        else:
-            self._w_lo, self._w_hi = _require_pair(w_box, sys.q, "disturbance")
+        self._w_lo, self._w_hi = _require_pair(w_box, sys.q, "disturbance")
 
     @property
     def n(self) -> int:
@@ -258,8 +255,7 @@ class DiscreteLTIModel:
     """Discrete-time linear loop; one control update per map step."""
 
     def __init__(self, A, B, net, horizon_steps: int, w_box=None):
-        if w_box is not None:  # the map takes no disturbance
-            _require_pair(w_box, 0, "disturbance")
+        _require_pair(w_box, 0, "disturbance")  # the map takes no disturbance
         if horizon_steps < 1:
             raise ValueError("need at least one step")
         self.A = np.asarray(A, dtype=float)

@@ -28,7 +28,6 @@ _HALF_PI = 0.5 * math.pi
 # shifts of the vehicle heading whose cos ranges are its cos and sin ranges;
 # t - 0.0 is t exactly
 _TRIG_SHIFTS = np.array([[0.0], [_HALF_PI]])
-_WHEEL_MARGIN = 1e-9
 
 
 class VehicleSystem:

@@ -58,18 +58,26 @@ class TestIBP:
 
 
     def test_split_layer_weights_keep_the_bits(self):
-        # the per-call split of each layer's weights, kept as the oracle
-        from nncreach.bounds import _activation_interval
-
+        # the per-call split of each layer's weights and the per-activation
+        # interval formulas, kept as the oracle
+        ends = {
+            "relu": lambda lo, hi: (np.maximum(lo, 0.0), np.maximum(hi, 0.0)),
+            "tanh": lambda lo, hi: (np.tanh(lo), np.tanh(hi)),
+            "identity": lambda lo, hi: (lo, hi),
+        }
         rng = np.random.default_rng(23)
-        for _ in range(30):
-            net = random_relu_network(rng)
+        nets = [random_relu_network(rng) for _ in range(30)]
+        for _ in range(10):  # a tanh hidden layer, so every activation is pinned
+            relu = random_relu_network(rng, depth=3)
+            nets.append(MLPNetwork([(l.weights, l.bias, "tanh" if k == 0 else l.activation)
+                                    for k, l in enumerate(relu.layers)]))
+        for net in nets:
             box = random_box(rng, net.input_dim)
             lo, hi = box.lo, box.hi
             for layer in net.layers:
                 Wp, Wn = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
                 zlo, zhi = Wp @ lo + Wn @ hi + layer.bias, Wp @ hi + Wn @ lo + layer.bias
-                lo, hi = _activation_interval(layer.activation, zlo, zhi)
+                lo, hi = ends[layer.activation](zlo, zhi)
             got = ibp_bounds(net, box)
             assert got.lo.tobytes() == lo.tobytes() and got.hi.tobytes() == hi.tobytes()
 

@@ -248,6 +248,44 @@ class TestCommandLine:
         assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "config error: config.system: d must accept" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["extension", "prepare"])
+    def test_stage_signatures_are_checked_when_the_plant_is_built(self, tmp_path, capsys,
+                                                                  stage):
+        # the one-stage form ext(Xlo, Xhi, Ulo, Uhi, Wlo, Whi), and a prepare
+        # without the upper disturbance rows, are config errors, not crashes
+        def f(x, u, w=None):
+            return np.stack([x[..., 1], u[..., 0]], axis=-1)
+
+        def ext6(Xlo, Xhi, Ulo, Uhi, Wlo, Whi):
+            return (np.stack([Xlo[:, 1], Ulo[:, 0]], axis=1),
+                    np.stack([Xhi[:, 1], Uhi[:, 0]], axis=1))
+
+        def prepare3(Ulo, Uhi, Wlo):
+            return Ulo, Uhi, Wlo, Wlo
+
+        stages = {"extension": ext6} if stage == "extension" else {
+            "extension": lambda Xlo, Xhi, inputs: ext6(Xlo, Xhi, *inputs),
+            "prepare": prepare3,
+        }
+        register_system(f"test-bad-{stage}", lambda: OpenLoopSystem(2, 1, 0, f, **stages))
+        path = write_config(tmp_path, di_config_dict(
+            system=f"test-bad-{stage}", dt=0.1, control={"period": 0.5}, horizon=1.0))
+        assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: config.system: {stage} must take" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["reach"],                                         # --config missing
+        ["reach", "--config", "c.json", "--no-such-flag"],
+        ["no-such-command"],
+    ])
+    def test_malformed_command_line_exits_as_config_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["reach", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_non_integer_depth_exits_as_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, di_config_dict())
         assert cli.main(["reach", "--config", str(path), "--out", str(tmp_path / "o"),

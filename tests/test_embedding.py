@@ -108,7 +108,7 @@ class TestOpenEmbeddingField:
                 sys.d(lo, hi, ulo, uhi, np.zeros(0), np.zeros(0)),
                 sys.d(hi, lo, uhi, ulo, np.zeros(0), np.zeros(0)),
             ])
-            assert np.allclose(fast, slow, atol=1e-12)
+            assert fast.tobytes() == slow.tobytes()
 
     def test_unordered_input_pair_matches_decomposition(self):
         # the extension path spans the input pair like ``sys.d`` does

@@ -256,7 +256,8 @@ class TestBudgets:
                         kept.append(b)
                         owner, nxt = nxt, next(pending, None)
                     else:
-                        assert owner is not None and owner.contains_box(b)
+                        assert owner is not None
+                        assert (owner.lo <= b.lo).all() and (b.hi <= owner.hi).all()
                 assert nxt is None, "a leaf of the previous interval was not verified"
                 assert len(boxes) == len(leaves) + 4 * stats.subdivisions
                 boxes, expected = kept, leaves

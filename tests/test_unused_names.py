@@ -1,0 +1,64 @@
+"""Every module-level name of the package is read somewhere in it.
+
+A name that a module defines or imports at its top level must be read
+somewhere in ``src/nncreach`` (as a bare name or as an attribute) or be
+listed in the module's ``__all__``.  Dunders and ``__future__`` imports
+are exempt, and so is ``__init__.py``, whose imports are the package's
+public names.  This is the unused-name check of a linter, kept as a test.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nncreach"
+TREES = {path.name: ast.parse(path.read_text(), str(path))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _top_level_names(tree):
+    """``(name, line)`` of each name a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node.lineno
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _reads():
+    names = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_module_level_name_is_read(module):
+    tree = TREES[module]
+    reads, exported = _reads(), _exported(tree)
+    unused = [f"{module}:{line} {name}" for name, line in _top_level_names(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in exported and name not in reads]
+    assert not unused, f"module-level names read nowhere in the package: {unused}"
