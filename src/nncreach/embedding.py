@@ -28,17 +28,21 @@ control instant, and every Euler step makes one ``extension`` call.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows``, as one gather from
-the stacked endpoints through an index table made once per dimension, and
-read back by ``_face_field``.  Every field goes through ``_faces_field``,
-one extension call on those rows, whichever of the two a plant supplies:
-the open-loop field :meth:`ClosedLoopEmbedding.open_field` prepares its
-input and disturbance pairs repeated on each face block, and the
-closed-loop :meth:`ClosedLoopEmbedding.field` passes the inputs prepared
-from the per-face control intervals at the control instant.  A
+the stacked endpoints through an index table made once per dimension.
+The field is read back through a second such table, ``_field_index``:
+with the enclosure ends of a face block side by side, ``[Flo | Fhi]``,
+face ``r`` contributes entry ``(r, r)``, so the field is one gather from
+that block.  Every field goes through ``_faces_field``, one extension call
+on the face rows and that one gather, whichever of the two a plant
+supplies: the open-loop field :meth:`ClosedLoopEmbedding.open_field`
+prepares its input and disturbance pairs repeated on each face block,
+and the closed-loop :meth:`ClosedLoopEmbedding.field` passes the inputs
+prepared from the per-face control intervals at the control instant.  A
 closed-loop state is pinned at its own ends, so its faces are gathered
 straight from the flat state ``[lo, hi]`` through the same table taken
 modulo ``2n``, and :func:`build_tight_decomposition` pins its rows through
-``_face_rows`` too, so faces are laid out only by ``_face_index``.
+``_face_rows`` too, so faces are laid out only by ``_face_index``.  The
+Euler step adds ``dt`` times that field to the flat state in place.
 """
 
 from __future__ import annotations
@@ -273,14 +277,18 @@ def _face_rows(span_lo, span_hi, a, b):
     return faces[..., 0, :, :], faces[..., 1, :, :]
 
 
-def _face_field(flo, fhi) -> np.ndarray:
-    """Embedding field from an enclosure over :func:`_face_rows`.
+@functools.cache
+def _field_index(n: int) -> np.ndarray:
+    """Gather table of the field from an enclosure over :func:`_face_rows`.
 
     Face ``i`` contributes the lower end of ``f_i``, face ``n + i`` the
-    upper end; ``(..., 2n, n)`` blocks give ``(..., 2n)`` fields.
+    upper end.  With the ends of a ``2n``-row face block side by side,
+    ``[flo | fhi]`` of shape ``(2n, 2n)``, both are entry ``(r, r)``, so
+    entry ``r`` of the table is the flat position ``r * (2n + 1)``.
     """
-    n = flo.shape[-1]
-    return np.concatenate([flo.diagonal(0, -2, -1), fhi.diagonal(-n, -2, -1)], axis=-1)
+    index = np.arange(2 * n) * (2 * n + 1)
+    index.setflags(write=False)
+    return index
 
 
 def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, inputs) -> np.ndarray:
@@ -288,10 +296,13 @@ def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, inputs) -> np.ndarray:
 
     ``inputs`` is ``sys.prepare`` of the ordered input and disturbance
     rows, one row per face row; ``(m, 2n, n)`` blocks go to the extension
-    as one ``(m * 2n, n)`` call.
+    as one ``(m * 2n, n)`` call and give ``(m, 2n)`` fields, one
+    :func:`_field_index` gather per block.
     """
-    flo, fhi = sys._face_extension(Xlo.reshape(-1, sys.n), Xhi.reshape(-1, sys.n), inputs)
-    return _face_field(flo.reshape(Xlo.shape), fhi.reshape(Xhi.shape))
+    n = sys.n
+    flo, fhi = sys._face_extension(Xlo.reshape(-1, n), Xhi.reshape(-1, n), inputs)
+    ends = np.concatenate((flo, fhi), axis=1).reshape(Xlo.shape[:-2] + (-1,))
+    return ends.take(_field_index(n), axis=-1)
 
 
 class _FrozenControlEmbedding:
@@ -299,7 +310,8 @@ class _FrozenControlEmbedding:
     control interval and the fixed-step integration loop.
 
     Subclasses provide ``n``, ``incl`` and ``_step_into(cur, out, dt)``,
-    which writes the ``(2, n)`` state one step after ``cur`` into ``out``.
+    which writes the flat ``(2n,)`` state ``[lo, hi]`` one step after
+    ``cur`` into ``out``.
     """
 
     def _control_inclusion(self, box: IntervalVector, reverify: bool, net,
@@ -320,18 +332,20 @@ class _FrozenControlEmbedding:
         Raises :class:`EmbeddingOrderError` at the first step whose state
         loses its ordering or is not a number.
         """
-        traj = np.empty((steps + 1, 2, self.n))
+        n = self.n
+        traj = np.empty((steps + 1, 2, n))
         traj[0, 0] = lo
         traj[0, 1] = hi
+        flat = traj.reshape(steps + 1, 2 * n)  # the states [lo, hi]
         step_into = self._step_into
-        for k in range(steps):
-            nxt = traj[k + 1]
-            step_into(traj[k], nxt, dt)
-            # written so that a NaN width fails the check too
-            if not (nxt[1] - nxt[0] >= -_ORDER_TOL).all():
-                raise EmbeddingOrderError(
-                    f"embedding state lost ordering at step {k + 1}"
-                )
+        cur = flat[0]
+        for k in range(1, steps + 1):
+            nxt = flat[k]
+            step_into(cur, nxt, dt)
+            # the minimum of a NaN width is NaN, which fails the check too
+            if not np.minimum.reduce(nxt[n:] - nxt[:n], initial=math.inf) >= -_ORDER_TOL:
+                raise EmbeddingOrderError(f"embedding state lost ordering at step {k}")
+            cur = nxt
         return traj
 
 
@@ -384,14 +398,15 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         """Closed-loop field at a flat ordered state ``[lo, hi]``: one extension call."""
         if self._inputs is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
-        return _faces_field(self.sys, *state.take(self._state_faces), self._inputs)
+        faces = state.take(self._state_faces)
+        return _faces_field(self.sys, faces[0], faces[1], self._inputs)
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
         return self._state_field(np.concatenate((lo, hi)))
 
     def _step_into(self, cur, out, dt):
-        np.add(cur, dt * self._state_field(cur.reshape(-1)).reshape(cur.shape), out=out)
+        np.add(cur, dt * self._state_field(cur), out=out)
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
         """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.
@@ -490,7 +505,8 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         return new_lo, new_hi
 
     def _step_into(self, cur, out, dt):
-        out[0], out[1] = self.step(cur[0], cur[1])
+        n = cur.shape[0] // 2
+        out[:n], out[n:] = self.step(cur[:n], cur[n:])
 
     def d(self, x, xh, u, uh, w=None, wh=None):
         """Decomposition ``A+ x + A- xh + B+ u + B- uh`` of the one-step map.

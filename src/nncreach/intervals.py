@@ -260,19 +260,21 @@ def _cos_range(x) -> np.ndarray:
 
     ``x`` is a ``(2, ...)`` float array of lower and upper ends; the result
     is stacked the same way.  One ``cos`` covers both ends, and one
-    ``floor``/``ceil`` pair over ``q = (x - shift) / 2 pi`` tests both
-    extrema: an extremum lies in the interval iff ``floor(q_hi) >=
-    ceil(q_lo)``.  As ``x - 0.0`` is ``x`` exactly, every quotient has the
-    bits of the plain ``x / 2 pi`` and ``(x - pi) / 2 pi``.
+    ``floor`` over ``q = (x - shift) / 2 pi`` tests both extrema: an
+    extremum lies in the interval iff ``floor(q_hi) >= ceil(q_lo)``, which,
+    as ``floor(q_hi)`` is an integer (or infinite, or NaN), is exactly
+    ``floor(q_hi) >= q_lo``.  As ``x - 0.0`` is ``x`` exactly, every
+    quotient has the bits of the plain ``x / 2 pi`` and ``(x - pi) / 2 pi``.
     """
     shape = x.shape
     x = x.reshape(2, -1)
     c = np.cos(x)
     q = (x[:, None] - _COS_SHIFTS) / _TWO_PI  # (end, extremum, element)
     out = np.empty_like(c)
-    np.minimum(c[0], c[1], out=out[0])
-    np.maximum(c[0], c[1], out=out[1])
-    np.copyto(out, _COS_PEAKS, where=np.floor(q[1]) >= np.ceil(q[0]))
+    clo, chi = c
+    np.minimum(clo, chi, out=out[0])
+    np.maximum(clo, chi, out=out[1])
+    np.copyto(out, _COS_PEAKS, where=np.floor(q[1]) >= q[0])
     return out.reshape(shape)
 
 

@@ -54,6 +54,8 @@ class Layer:
             raise ValueError("layer weights must be a matrix")
         if b.ndim != 1 or b.shape[0] != W.shape[0]:
             raise ValueError("bias length must match the number of output neurons")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError("layer weights and bias must be finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
         Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)

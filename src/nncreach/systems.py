@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .embedding import DiscreteLTIEmbedding, OpenLoopSystem
-from .intervals import _cos_range, _matvec, interval_mul
+from .intervals import _cos_range, _matvec
 from .partition import DiscreteLTIModel
 
 __all__ = [
@@ -91,37 +91,46 @@ class VehicleSystem:
     def prepare(self, Ulo, Uhi, Wlo, Whi):
         """The input-only part of :meth:`extension`, done once per control interval.
 
-        Both input ends are saturated as one ``(2, m, 2)`` block; returns
-        the ``(end, row)`` slip angles, their sines and the force column,
-        the last two shaped ``(end, 1, row)`` to stack with the state terms.
+        Both input ends are saturated as one ``(2, m, 2)`` block.  Returns
+        the slip angles, shaped ``(end, 1, row)`` to broadcast against the
+        cos and sin rows, and a ``(2, n, m)`` (end, component, row) output
+        block whose last two rows hold the sine of the slip angle, the
+        factor of ``f_2``, and the force ``f_3``; the extension starts
+        each call from a copy of it.
         """
         U = np.minimum(np.maximum(np.array((Ulo, Uhi)), self._u_neg_lim), self._u_lim)
-        b = np.arctan(self._k * np.tan(U[..., 1]))
-        return b, np.sin(b)[:, None], U[:, None, :, 0]
+        b = np.arctan(self._k * np.tan(U[:, None, :, 1]))
+        block = np.zeros((2, self.n, b.shape[2]))
+        block[:, 2:3] = np.sin(b)
+        block[:, 3] = U[..., 0]
+        return b, block
 
     def extension(self, Xlo, Xhi, inputs):
         """Exact componentwise enclosure over row-stacked boxes, given :meth:`prepare`'s inputs.
 
-        The work is laid out as a few stacked arrays, so that the cost of a
-        call is a fixed number of numpy operations whatever the row count:
-        the cos and sin ranges of the heading come from one cos range over
-        the stacked ends of ``[t, t - pi/2]``, and the three products share
-        one :func:`interval_mul` over ``(3, m)`` stacks.  Both enclosure
-        ends are views of one array.
+        Both enclosure ends are written into one ``(2, n, m)`` (end,
+        component, row) block, a copy of the prepared one, and returned as
+        its transposed ``(m, n)`` views, so that the cost of a call is a
+        fixed number of numpy operations whatever the row count.  The cos
+        and sin ranges of the heading come from one cos range over the
+        stacked ends of ``[t, t - pi/2]`` and fill rows 0 and 1.  Rows 0-2
+        then hold the ranges ``c`` of ``(cos, sin, sin(beta))``, and one
+        broadcast product of the ends of the factors ``a = (v, v, v /
+        l_r)`` against them gives the ``(2, 2, 3, m)`` stack of ``a_i *
+        c_j``, whose minimum and maximum over the four end pairs overwrite
+        the rows with the products ``(f_0, f_1, f_2)``.
         """
-        b, sin_b, force = inputs
-        # (end, cos | sin, row) heading plus slip: cos of t - pi/2 is the sin range
-        x = np.array((Xlo[:, 2:], Xhi[:, 2:]))
-        t = (x[..., 0] + b)[:, None] - _TRIG_SHIFTS
-        # factors of (f_0, f_1, f_2) = (v cos, v sin, v / l_r sin(beta)),
-        # stacked (end, component, row); beta stays in (-pi/2, pi/2), where
-        # sin is increasing
-        a = x[:, None, :, 1] / self._factor_divisors
-        c = np.concatenate((_cos_range(t), sin_b), axis=1)
-        prod = np.array(interval_mul(a[0], a[1], c[0], c[1]))
-        f = np.concatenate((prod, force), axis=1)
-        f = f.transpose(0, 2, 1)
-        return f[0], f[1]
+        b, block = inputs
+        f = block.copy()
+        # (end, row, state); heading plus slip t, and t - pi/2 has the sin range of t
+        x = np.array((Xlo, Xhi))
+        f[:, :2] = _cos_range(x[:, None, :, 2] + b - _TRIG_SHIFTS)
+        # (a end, c end, component, row), a end outer, as interval_mul pairs
+        # them; beta stays in (-pi/2, pi/2), where sin is increasing
+        prod = (x[:, None, None, :, 3] / self._factor_divisors) * f[:, :3]
+        np.minimum.reduce(prod, axis=(0, 1), out=f[0, :3])
+        np.maximum.reduce(prod, axis=(0, 1), out=f[1, :3])
+        return f[0].T, f[1].T
 
     def open_loop(self) -> OpenLoopSystem:
         return OpenLoopSystem(self.n, self.p, self.q, self.f, extension=self.extension,

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -357,6 +358,19 @@ class TestCommandLine:
                          "--out", str(tmp_path / "o"),
                          "--set", f"network={json.dumps(str(tmp_path / 'tanh.json'))}"]) == 1
         assert "does not support activation 'tanh'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_network_weight_exits_as_config_error(self, tmp_path, capsys, bad):
+        doc = MLPNetwork.load(NETWORKS / "vehicle_standin.json").to_dict()
+        doc["layers"][0]["weights"][3][1] = bad
+        path = tmp_path / "bad_net.json"
+        path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+        assert cli.main(["reach", "--config", str(CONFIGS / "vehicle_adaptive_d2n1.json"),
+                         "--out", str(tmp_path / "o"),
+                         "--set", f"network={json.dumps(str(path))}"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: network file {path}: layer 0: " in err
+        assert "must be finite" in err
 
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

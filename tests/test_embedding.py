@@ -388,6 +388,47 @@ class TestClosedLoopEmbedding:
         with pytest.raises(EmbeddingOrderError, match="step 1$"):
             emb.integrate(box.lo, box.hi, 0.1, 5)
 
+    @staticmethod
+    def narrowing_embedding(kind, rate, box):
+        """A 1-state embedding whose upper end falls by ``rate`` per unit step.
+
+        The lower end stays put, so the width shrinks by exactly ``rate``
+        per step and crosses zero without ever being NaN.  The continuous
+        loop gets it from an extension with the constant ends ``(0,
+        -rate)``, the discrete map from a relaxation with ``d_hi = -rate``.
+        """
+        zero = np.array([[0.0]])
+        incl = make_inclusion(LinearBounds(C_lo=zero, d_lo=np.zeros(1), C_hi=zero,
+                                           d_hi=np.array([-rate]), domain=box))
+        if kind == "continuous":
+            def ext(Xlo, Xhi, inputs):
+                return np.zeros_like(Xlo), np.full_like(Xhi, -rate)
+
+            emb = ClosedLoopEmbedding(OpenLoopSystem(1, 1, 0, lambda x, u, w=None: 0.0 * x,
+                                                     extension=ext))
+        else:
+            emb = DiscreteLTIEmbedding(np.eye(1), np.eye(1))
+        emb.refresh_control(box, reverify=False, inherited=incl)
+        return emb
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_crossed_state_raises_at_its_step(self, kind):
+        box = IntervalVector(np.array([0.0]), np.array([2.5]))
+        emb = self.narrowing_embedding(kind, 1.0, box)
+        # widths 1.5 and 0.5 after steps 1 and 2, then -0.5
+        assert (emb.integrate(box.lo, box.hi, 1.0, 2)[:, 1, 0] == [2.5, 1.5, 0.5]).all()
+        with pytest.raises(EmbeddingOrderError, match="step 3$"):
+            emb.integrate(box.lo, box.hi, 1.0, 5)
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_order_tolerance_is_inclusive(self, kind):
+        box = IntervalVector(np.zeros(1), np.zeros(1))
+        traj = self.narrowing_embedding(kind, 1e-9, box).integrate(box.lo, box.hi, 1.0, 1)
+        assert traj[1, 1, 0] - traj[1, 0, 0] == -1e-9
+        below = np.nextafter(1e-9, 1.0)
+        with pytest.raises(EmbeddingOrderError, match="step 1$"):
+            self.narrowing_embedding(kind, below, box).integrate(box.lo, box.hi, 1.0, 1)
+
     def test_refresh_control_inheritance_rules(self, di_net, di_box):
         from nncreach import crown_bounds
         sys = affine_system(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
@@ -684,11 +725,11 @@ class TestGatheredStep:
         for lo, hi in self.states(np.random.default_rng(17), box):
             want = _faces_field(emb.sys, *_face_rows(lo, hi, lo, hi), emb._inputs)
             assert emb.field(lo, hi).tobytes() == want.tobytes()
-            cur = np.stack((lo, hi))
+            cur = np.concatenate((lo, hi))  # the step works on the flat state [lo, hi]
             out = np.empty_like(cur)
             emb._step_into(cur, out, dt)
-            assert out.tobytes() == (cur + dt * want.reshape(2, emb.n)).tobytes()
-            assert cur.tobytes() == np.stack((lo, hi)).tobytes()
+            assert out.tobytes() == (cur + dt * want).tobytes()
+            assert cur.tobytes() == np.concatenate((lo, hi)).tobytes()
 
     def test_face_caches_match_face_rows(self, emb_box):
         emb, box = emb_box

@@ -6,6 +6,7 @@ import pytest
 from nncreach.intervals import (
     IntervalVector,
     _as_vector,
+    _cos_range,
     ToleranceVector,
     interval_cos,
     interval_hull,
@@ -488,3 +489,26 @@ class TestStackedCosRangeBits:
             for g, w in zip(got, want):
                 assert isinstance(g, np.ndarray) and g.shape == ()
                 assert g.tobytes() == np.asarray(w).tobytes()
+
+    def test_floor_only_test_matches_floor_ceil_formula(self):
+        """``_cos_range``'s ``floor(q_hi) >= q_lo`` test has the bits of ``floor >= ceil``.
+
+        Every ordered, crossed and degenerate pair of ends is checked: ends
+        whose quotient by 2 pi is an integer (a degenerate interval at a large
+        multiple of pi sits on an extremum that its own cos misses), infinite
+        and NaN ends and signed zeros.
+        """
+        pi, two_pi = math.pi, 2 * math.pi
+        ends = [0.0, -0.0, pi, -pi, two_pi, -two_pi, 3 * pi, -3 * pi, 2 ** 20 * two_pi,
+                -(2 ** 20) * two_pi, 2 ** 40 * pi, 1e17, -1e17, 2.0 ** 60,
+                np.nextafter(two_pi, 0.0), np.nextafter(two_pi, 7.0),
+                np.nextafter(pi, 0.0), np.nextafter(pi, 4.0), 1.0, -2.5, 5e-324,
+                math.inf, -math.inf, math.nan]
+        lo, hi = (a.ravel() for a in np.meshgrid(ends, ends, indexing="ij"))
+        with np.errstate(invalid="ignore"):  # cos of an infinite end is NaN
+            got = _cos_range(np.array((lo, hi)))
+            want = _columnwise_cos_range(lo, hi)
+        assert got.tobytes() == np.array(want).tobytes()
+        # the degenerate intervals on an extremum are the extremum itself
+        for x, value in ((0.0, 1.0), (-0.0, 1.0), (two_pi, 1.0), (pi, -1.0), (-pi, -1.0)):
+            assert _cos_range(np.array([[x], [x]])).ravel().tolist() == [value, value]

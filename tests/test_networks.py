@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,3 +121,12 @@ def test_layer_copies_caller_arrays():
     assert layer.weights.tolist() == [[1.0]] and layer.bias.tolist() == [0.0]
     assert layer.Wp.tolist() == [[1.0]]
     assert not (layer.weights.flags.writeable or layer.bias.flags.writeable)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["weights", "bias"])
+def test_non_finite_parameters_rejected(bad, where):
+    W, b = np.ones((2, 2)), np.zeros(2)
+    (W if where == "weights" else b)[-1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Layer(W, b, "relu")
