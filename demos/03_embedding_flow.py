@@ -6,10 +6,10 @@ A system with a decomposition function lifts to dynamics on pairs
 trajectory that starts inside the initial box.  Shown first on a scalar
 toy with an exact answer, then on the 4-state vehicle.
 
-`ClosedLoopEmbedding` carries both fields: `open_field` evaluates the
-open-loop embedding under given input and disturbance intervals, and
-`field` (what `integrate` steps) uses the controller's output intervals
-frozen on the faces of the box at the last `refresh_control`.
+The plant's `open_field` evaluates the open-loop embedding under given
+input and disturbance intervals; `ClosedLoopEmbedding.field` (what
+`integrate` steps) uses the controller's output intervals frozen on the
+faces of the box at the last `refresh_control`.
 
 Run: python demos/03_embedding_flow.py
 """
@@ -37,9 +37,9 @@ def scalar_toy():
     print("Scalar toy: xdot = -x + u, u held in [-0.1, 0.1]")
     print("=" * 60)
     sys = affine_system(np.array([[-1.0]]), np.array([[1.0]]))
-    emb = ClosedLoopEmbedding(sys)
-    rate = emb.open_field(np.array([-1.0]), np.array([1.0]),
-                          np.array([-0.1]), np.array([0.1]), emb.w_lo, emb.w_hi)
+    none = np.zeros(0)  # no disturbance
+    rate = sys.open_field(np.array([-1.0]), np.array([1.0]),
+                          np.array([-0.1]), np.array([0.1]), none, none)
     print("open-loop embedding field at ([-1,1]):", rate, " (lower half rises, upper falls)")
 
     domain = IntervalVector(np.array([-2.0]), np.array([2.0]))
@@ -47,6 +47,7 @@ def scalar_toy():
         C_lo=np.zeros((1, 1)), d_lo=np.array([-0.1]),
         C_hi=np.zeros((1, 1)), d_hi=np.array([0.1]), domain=domain))
     # a constant controller band: the closed-loop field is the open-loop one
+    emb = ClosedLoopEmbedding(sys)
     emb.refresh_control(domain, reverify=False, inherited=incl, interval_index=0)
     traj = emb.integrate(np.array([-1.0]), np.array([1.0]), 0.01, 500)
     print("\n  t     lower     upper     exact envelope +/-(e^-t + 0.1(1-e^-t))")

@@ -31,7 +31,6 @@ from .embedding import (
     DiscreteLTIEmbedding,
     EmbeddingOrderError,
     OpenLoopSystem,
-    build_tight_decomposition,
 )
 from .partition import (
     AlgorithmParams,

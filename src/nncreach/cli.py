@@ -179,7 +179,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (EmbeddingOrderError, ValueError) as exc:
         # a state that lost its order or went NaN, a relaxation queried outside
-        # its domain, an interval extension returning crossed enclosures
+        # its domain
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -10,12 +10,12 @@ interval extension of ``f``.  An extension comes in two stages:
 ``prepare(Ulo, Uhi, Wlo, Whi) -> inputs`` does the work that depends only
 on the input and disturbance rows, and ``extension(Xlo, Xhi, inputs)``
 the state-dependent rest; without a ``prepare`` the inputs are the row
-tuple itself.  Given only an extension, the tight decomposition is
-synthesized by pinning one coordinate at a time and taking the matching
-end of the enclosure; given only a decomposition, it is wrapped once as
-an extension (with the row tuple as its inputs) that is read on face
-rows, where the pinned component is the decomposition's bound for that
-face.
+tuple itself.  Given only an extension, the tight decomposition is read
+from the plant's open-loop field :meth:`OpenLoopSystem.open_field`, which
+pins one coordinate at a time and takes the matching end of the
+enclosure; given only a decomposition, it is wrapped once as an extension
+(with the row tuple as its inputs) that is read on face rows, where the
+pinned component is the decomposition's bound for that face.
 
 The closed loop with a sampled neural-network controller is handled by
 :class:`ClosedLoopEmbedding`: at every control instant the network is
@@ -34,15 +34,15 @@ with the enclosure ends of a face block side by side, ``[Flo | Fhi]``,
 face ``r`` contributes entry ``(r, r)``, so the field is one gather from
 that block.  Every field goes through ``_faces_field``, one extension call
 on the face rows and that one gather, whichever of the two a plant
-supplies: the open-loop field :meth:`ClosedLoopEmbedding.open_field`
-prepares its input and disturbance pairs repeated on each face block,
-and the closed-loop :meth:`ClosedLoopEmbedding.field` passes the inputs
-prepared from the per-face control intervals at the control instant.  A
-closed-loop state is pinned at its own ends, so its faces are gathered
-straight from the flat state ``[lo, hi]`` through the same table taken
-modulo ``2n``, and :func:`build_tight_decomposition` pins its rows through
-``_face_rows`` too, so faces are laid out only by ``_face_index``.  The
-Euler step adds ``dt`` times that field to the flat state in place.
+supplies: the open-loop field :meth:`OpenLoopSystem.open_field` (and the
+synthesized ``d``, which reads it) prepares its input and disturbance
+pairs repeated on each face block, and the closed-loop
+:meth:`ClosedLoopEmbedding.field` passes the inputs prepared from the
+per-face control intervals at the control instant.  A closed-loop state
+is pinned at its own ends, so its faces are gathered straight from the
+flat state ``[lo, hi]`` through the same table taken modulo ``2n``:
+faces are laid out only by ``_face_index``.  The Euler step adds ``dt``
+times that field to the flat state in place.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "ClosedLoopEmbedding",
     "DiscreteLTIEmbedding",
     "EmbeddingOrderError",
-    "build_tight_decomposition",
 ]
 
 _EXTENSION_TOL = 1e-9
@@ -94,47 +93,6 @@ def _row_inputs(Ulo, Uhi, Wlo, Whi):
     return Ulo, Uhi, Wlo, Whi
 
 
-def build_tight_decomposition(extension, prepare=_row_inputs):
-    """Decomposition function from a sound enclosure oracle for ``f``.
-
-    ``extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))`` receives
-    row-stacked boxes (all arrays shaped ``(m, dim)``) and must return
-    componentwise enclosures ``(Flo, Fhi)`` of ``f`` over each row's box,
-    exact on degenerate boxes and isotone under box inclusion.  Neither
-    stage may modify its arguments: the engine prepares the input and
-    disturbance rows once per control interval and passes the prepared
-    inputs to every extension call of that interval.
-
-    The returned ``d(x, xh, u, uh, w, wh)`` pins coordinate ``i`` of the
-    state span at ``x_i`` and takes the lower (forward argument order) or
-    upper (reversed order) end of the enclosure of ``f_i``.
-    """
-
-    def d(x, xh, u, uh, w, wh):
-        x = np.asarray(x, dtype=float)
-        xh = np.asarray(xh, dtype=float)
-        u = np.asarray(u, dtype=float)
-        uh = np.asarray(uh, dtype=float)
-        w = np.asarray(w, dtype=float)
-        wh = np.asarray(wh, dtype=float)
-        lower = _orientation(x, xh, u, uh, w, wh)
-        n = x.shape[0]
-        idx = np.arange(n)
-        # the lower faces of the span pinned at x itself
-        Xlo, Xhi = (F[:n] for F in _face_rows(np.minimum(x, xh), np.maximum(x, xh), x, x))
-        Ulo = np.tile(np.minimum(u, uh), (n, 1))
-        Uhi = np.tile(np.maximum(u, uh), (n, 1))
-        Wlo = np.tile(np.minimum(w, wh), (n, 1))
-        Whi = np.tile(np.maximum(w, wh), (n, 1))
-        flo, fhi = extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))
-        # written so that a NaN enclosure fails the check too
-        if not (fhi - flo >= -_EXTENSION_TOL).all():
-            raise ValueError("interval extension returned crossed enclosures")
-        return flo[idx, idx] if lower else fhi[idx, idx]
-
-    return d
-
-
 class OpenLoopSystem:
     """Open-loop dynamics plus the machinery to embed them.
 
@@ -151,15 +109,26 @@ class OpenLoopSystem:
         vectors; the shapes of one call on ``2n`` rows are checked here.
     extension, prepare:
         Optional batched interval enclosure of ``f`` in two stages,
-        ``extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))`` (see
-        :func:`build_tight_decomposition`); ``prepare`` defaults to the
-        row tuple ``(Ulo, Uhi, Wlo, Whi)``.  At least one of ``d`` and
-        ``extension`` is required.  With only ``extension`` the tight
-        decomposition is synthesized; with only ``d``, ``self.extension``
-        stays ``None`` and the embedding reads ``d`` in forward (lower
-        ends) and reversed (upper ends) argument order instead, which
-        bounds only component ``i`` of a row that pins coordinate ``i``,
-        the one component the face kernel reads.
+        ``extension(Xlo, Xhi, prepare(Ulo, Uhi, Wlo, Whi))``, on row-stacked
+        boxes (all arrays shaped ``(m, dim)``); ``prepare`` defaults to the
+        row tuple ``(Ulo, Uhi, Wlo, Whi)``.  The extension must return
+        componentwise enclosures ``(Flo, Fhi)`` of ``f`` over each row's
+        box, exact on degenerate boxes and isotone under box inclusion.
+        Neither stage may modify its arguments: the engine prepares the
+        input and disturbance rows once per control interval and passes the
+        prepared inputs to every extension call of that interval.
+
+    At least one of ``d`` and ``extension`` is required.  With only
+    ``extension``, ``d`` is the tight decomposition read from
+    :meth:`open_field`: ``d(x, xh, u, uh, w, wh)`` pins coordinate ``i`` of
+    the state span at ``x_i`` and takes the lower (forward argument order)
+    or upper (reversed order) end of the enclosure of ``f_i``, on single
+    vectors or ``(m, ·)`` row stacks; it raises ``ValueError`` when the
+    extension returns crossed or NaN enclosures.  With only ``d``,
+    ``self.extension`` stays ``None`` and the embedding reads ``d`` in
+    forward (lower ends) and reversed (upper ends) argument order instead,
+    which bounds only component ``i`` of a row that pins coordinate ``i``,
+    the one component the face kernel reads.
     """
 
     def __init__(self, n, p, q, f, d=None, extension=None, prepare=None, name=""):
@@ -176,7 +145,7 @@ class OpenLoopSystem:
         self.q = int(q)
         self.f = f
         self.prepare = _row_inputs if prepare is None else prepare
-        self.d = d if d is not None else build_tight_decomposition(extension, self.prepare)
+        self.d = d if d is not None else self._tight_d
         self.extension = extension
         if extension is None:
             def extension(Xlo, Xhi, inputs):
@@ -201,6 +170,53 @@ class OpenLoopSystem:
                                          control_period=control_period,
                                          control_instants=control_instants,
                                          w_box=w_box)
+
+    def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
+        """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.
+
+        Component ``i`` of each half bounds ``f_i`` on the face of the span
+        that pins coordinate ``i`` at ``a_i`` (lower half) or ``b_i``.
+        Tolerant of slightly crossed pairs: finite differencing perturbs one
+        endpoint at a time, which can cross a degenerate axis, so spans are
+        formed with componentwise min/max while the face pins keep the true
+        endpoint values.  Input and disturbance pairs are spanned the same way.
+
+        The arguments are single vectors or ``(m, ·)`` row stacks, all six
+        alike; a stack gives the ``(m, 2n)`` fields of its rows with one
+        ``prepare`` and one extension call.
+        """
+        return self._open_field(self._face_extension, a, b, ulo, uhi, wlo, whi)
+
+    def _open_field(self, extension, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
+        """:meth:`open_field` with its one face call made through ``extension``."""
+        block = a.shape[:-1] + (2 * self.n,)
+        rows = math.prod(block)  # explicit: reshape(-1, 0) fails when q = 0
+
+        def per_face(v, vh):  # the ordered pair repeated on the 2n rows of its block
+            return tuple(np.broadcast_to(e[..., None, :], block + e.shape[-1:])
+                         .reshape(rows, e.shape[-1])
+                         for e in (np.minimum(v, vh), np.maximum(v, vh)))
+
+        faces = _face_rows(np.minimum(a, b)[..., None, :], np.maximum(a, b)[..., None, :],
+                           a, b)
+        inputs = self.prepare(*per_face(ulo, uhi), *per_face(wlo, whi))
+        return _faces_field(extension, *faces, inputs)
+
+    def _tight_d(self, x, xh, u, uh, w, wh) -> np.ndarray:
+        """The decomposition synthesized from ``extension``: a half of :meth:`open_field`."""
+        args = [np.asarray(v, dtype=float) for v in (x, xh, u, uh, w, wh)]
+        if _orientation(*args):
+            return self._open_field(self._checked_extension, *args)[..., :self.n]
+        x, xh, u, uh, w, wh = args
+        return self._open_field(self._checked_extension, xh, x, uh, u, wh, w)[..., self.n:]
+
+    def _checked_extension(self, Xlo, Xhi, inputs):
+        """``extension``, raising ``ValueError`` on a crossed or NaN enclosure."""
+        flo, fhi = self.extension(Xlo, Xhi, inputs)
+        # written so that a NaN enclosure fails the check too
+        if not (fhi - flo >= -_EXTENSION_TOL).all():
+            raise ValueError("interval extension returned crossed enclosures")
+        return flo, fhi
 
 
 def _check_arity(stage, what, *params) -> None:
@@ -291,16 +307,16 @@ def _field_index(n: int) -> np.ndarray:
     return index
 
 
-def _faces_field(sys: OpenLoopSystem, Xlo, Xhi, inputs) -> np.ndarray:
-    """Embedding field from one extension call on face blocks ``(Xlo, Xhi)``.
+def _faces_field(extension, Xlo, Xhi, inputs) -> np.ndarray:
+    """Embedding field from one ``extension`` call on face blocks ``(Xlo, Xhi)``.
 
-    ``inputs`` is ``sys.prepare`` of the ordered input and disturbance
-    rows, one row per face row; ``(m, 2n, n)`` blocks go to the extension
-    as one ``(m * 2n, n)`` call and give ``(m, 2n)`` fields, one
+    ``inputs`` is ``prepare`` of the ordered input and disturbance rows,
+    one row per face row; ``(m, 2n, n)`` blocks go to the extension as one
+    ``(m * 2n, n)`` call and give ``(m, 2n)`` fields, one
     :func:`_field_index` gather per block.
     """
-    n = sys.n
-    flo, fhi = sys._face_extension(Xlo.reshape(-1, n), Xhi.reshape(-1, n), inputs)
+    n = Xlo.shape[-1]
+    flo, fhi = extension(Xlo.reshape(-1, n), Xhi.reshape(-1, n), inputs)
     ends = np.concatenate((flo, fhi), axis=1).reshape(Xlo.shape[:-2] + (-1,))
     return ends.take(_field_index(n), axis=-1)
 
@@ -399,7 +415,7 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         if self._inputs is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
         faces = state.take(self._state_faces)
-        return _faces_field(self.sys, faces[0], faces[1], self._inputs)
+        return _faces_field(self.sys._face_extension, faces[0], faces[1], self._inputs)
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
@@ -409,31 +425,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         np.add(cur, dt * self._state_field(cur), out=out)
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
-        """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.
-
-        Component ``i`` of each half bounds ``f_i`` on the face of the span
-        that pins coordinate ``i`` at ``a_i`` (lower half) or ``b_i``.
-        Tolerant of slightly crossed pairs: finite differencing perturbs one
-        endpoint at a time, which can cross a degenerate axis, so spans are
-        formed with componentwise min/max while the face pins keep the true
-        endpoint values.  Input and disturbance pairs are spanned the same way.
-
-        The arguments are single vectors or ``(m, ·)`` row stacks, all six
-        alike; a stack gives the ``(m, 2n)`` fields of its rows with one
-        ``prepare`` and one extension call.
-        """
-        block = a.shape[:-1] + (2 * self.n,)
-        rows = math.prod(block)  # explicit: reshape(-1, 0) fails when q = 0
-
-        def per_face(v, vh):  # the ordered pair repeated on the 2n rows of its block
-            return tuple(np.broadcast_to(e[..., None, :], block + e.shape[-1:])
-                         .reshape(rows, e.shape[-1])
-                         for e in (np.minimum(v, vh), np.maximum(v, vh)))
-
-        faces = _face_rows(np.minimum(a, b)[..., None, :], np.maximum(a, b)[..., None, :],
-                           a, b)
-        inputs = self.sys.prepare(*per_face(ulo, uhi), *per_face(wlo, whi))
-        return _faces_field(self.sys, *faces, inputs)
+        """The plant's :meth:`OpenLoopSystem.open_field`."""
+        return self.sys.open_field(a, b, ulo, uhi, wlo, whi)
 
 
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):

@@ -15,7 +15,6 @@ from nncreach import (
     OpenLoopSystem,
     VehicleSystem,
     affine_system,
-    build_tight_decomposition,
     make_inclusion,
 )
 
@@ -31,18 +30,42 @@ def scalar_leak():
 
 def open_field(sys, lo, hi, u_pair, w_pair=None):
     """Open-loop field of ``sys`` at ``(lo, hi)``, disturbance 0 unless given."""
-    emb = ClosedLoopEmbedding(sys, w_pair)
-    return emb.open_field(lo, hi, *u_pair, emb.w_lo, emb.w_hi)
+    w_pair = (np.zeros(sys.q),) * 2 if w_pair is None else w_pair
+    return sys.open_field(lo, hi, *u_pair, *w_pair)
+
+
+def reference_tight_d(sys):
+    """The tight decomposition of an extension plant, built row by row.
+
+    ``n`` rows, row ``i`` the state span with coordinate ``i`` pinned at
+    ``x_i``, under the spanned input and disturbance pairs; one extension
+    call, whose diagonal is the lower end when ``x <= xh`` and the upper
+    end otherwise (so the state pair must not be degenerate).
+    """
+    def d(x, xh, u, uh, w, wh):
+        n = x.shape[0]
+        idx = np.arange(n)
+        Xlo = np.tile(np.minimum(x, xh), (n, 1))
+        Xhi = np.tile(np.maximum(x, xh), (n, 1))
+        Xlo[idx, idx] = Xhi[idx, idx] = x
+        rows = [np.tile(v, (n, 1)) for v in (np.minimum(u, uh), np.maximum(u, uh),
+                                             np.minimum(w, wh), np.maximum(w, wh))]
+        flo, fhi = sys.extension(Xlo, Xhi, sys.prepare(*rows))
+        return flo[idx, idx] if (x <= xh).all() else fhi[idx, idx]
+
+    return d
 
 
 def reference_face_field(emb, lo, hi):
-    """Reference closed-loop field halves: one ``sys.d`` call per face.
+    """Reference closed-loop field halves: one decomposition call per face.
 
     Lower (upper) face ``i`` is the box ``[lo, hi]`` with coordinate ``i``
     pinned at ``lo_i`` (``hi_i``), under the controller bounds on that face;
-    it contributes component ``i`` of ``d`` in forward (reversed) order.
+    it contributes component ``i`` of ``d`` in forward (reversed) order,
+    where ``d`` is :func:`reference_tight_d` for an extension plant.
     """
     sys, n = emb.sys, emb.n
+    d = sys.d if sys.extension is None else reference_tight_d(sys)
     out = np.empty(2 * n)
     for i in range(n):
         for k, pin in ((i, lo[i]), (n + i, hi[i])):
@@ -50,9 +73,9 @@ def reference_face_field(emb, lo, hi):
             x[i] = xh[i] = pin
             u, uh = emb.incl(x, xh)
             if k < n:
-                out[k] = sys.d(x, xh, u, uh, emb.w_lo, emb.w_hi)[i]
+                out[k] = d(x, xh, u, uh, emb.w_lo, emb.w_hi)[i]
             else:
-                out[k] = sys.d(xh, x, uh, u, emb.w_hi, emb.w_lo)[i]
+                out[k] = d(xh, x, uh, u, emb.w_hi, emb.w_lo)[i]
     return out[:n], out[n:]
 
 
@@ -97,6 +120,7 @@ class TestOpenEmbeddingField:
     def test_fast_path_matches_componentwise_path(self):
         veh = VehicleSystem()
         sys = veh.open_loop()
+        d = reference_tight_d(sys)
         rng = np.random.default_rng(4)
         for _ in range(20):
             lo = np.array([7.0, 7.0, -2.4, 1.5]) + rng.uniform(0, 0.3, 4)
@@ -105,8 +129,8 @@ class TestOpenEmbeddingField:
             uhi = ulo + rng.uniform(0, 0.5, 2)
             fast = open_field(sys, lo, hi, (ulo, uhi))
             slow = np.concatenate([
-                sys.d(lo, hi, ulo, uhi, np.zeros(0), np.zeros(0)),
-                sys.d(hi, lo, uhi, ulo, np.zeros(0), np.zeros(0)),
+                d(lo, hi, ulo, uhi, np.zeros(0), np.zeros(0)),
+                d(hi, lo, uhi, ulo, np.zeros(0), np.zeros(0)),
             ])
             assert fast.tobytes() == slow.tobytes()
 
@@ -168,6 +192,12 @@ def test_constant_band_closed_field_equals_open_field(sys, box, band, w_pair):
 
 
 class TestTightDecomposition:
+    """The ``d`` an extension-only plant synthesizes from its open-loop field."""
+
+    @staticmethod
+    def tight_d(n, p, ext):
+        return OpenLoopSystem(n, p, 0, lambda x, u, w=None: x, extension=ext).d
+
     def affine_extension(self, A, B):
         Ap, An = np.maximum(A, 0), np.minimum(A, 0)
         Bp, Bn = np.maximum(B, 0), np.minimum(B, 0)
@@ -184,7 +214,7 @@ class TestTightDecomposition:
         rng = np.random.default_rng(7)
         A = rng.normal(size=(2, 2))
         B = rng.normal(size=(2, 1))
-        d_tight = build_tight_decomposition(self.affine_extension(A, B))
+        d_tight = self.tight_d(2, 1, self.affine_extension(A, B))
         d_closed = affine_system(A, B).d
         for _ in range(200):
             x = rng.normal(size=2)
@@ -204,14 +234,14 @@ class TestTightDecomposition:
             hi = np.maximum(Xlo ** 2, Xhi ** 2)
             return lo, hi
 
-        d = build_tight_decomposition(ext)
+        d = self.tight_d(1, 0, ext)
         empty = np.zeros(0)
         # coordinate pinned at -1 makes the enclosure degenerate: f = 1
         assert d(np.array([-1.0]), np.array([2.0]), empty, empty, empty, empty)[0] == 1.0
         assert d(np.array([2.0]), np.array([-1.0]), empty, empty, empty, empty)[0] == 4.0
 
     def test_mixed_order_arguments_rejected(self):
-        d = build_tight_decomposition(self.affine_extension(np.eye(2), np.zeros((2, 1))))
+        d = self.tight_d(2, 1, self.affine_extension(np.eye(2), np.zeros((2, 1))))
         empty = np.zeros(0)
         with pytest.raises(ValueError, match="mixed-order"):
             d(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
@@ -221,9 +251,9 @@ class TestTightDecomposition:
         def bad_ext(Xlo, Xhi, inputs):
             return Xhi + 1.0, Xlo
 
-        d = build_tight_decomposition(bad_ext)
+        d = self.tight_d(1, 0, bad_ext)
         empty = np.zeros(0)
-        with pytest.raises(ValueError, match="crossed"):
+        with pytest.raises(ValueError, match="crossed enclosures"):
             d(np.array([0.0]), np.array([1.0]), empty, empty, empty, empty)
 
     def test_nan_enclosure_rejected(self):
@@ -232,10 +262,41 @@ class TestTightDecomposition:
             with np.errstate(invalid="ignore"):
                 return np.sqrt(Xlo - 1.0), np.sqrt(Xhi - 1.0)
 
-        d = build_tight_decomposition(ext)
+        d = self.tight_d(1, 0, ext)
         empty = np.zeros(0)
         with pytest.raises(ValueError, match="crossed enclosures"):
             d(np.array([0.5]), np.array([0.6]), empty, empty, empty, empty)
+
+    @staticmethod
+    def vehicle_tuple(rng):
+        """A forward-ordered vehicle tuple whose headings often span a multiple of pi/2."""
+        x = np.array([rng.uniform(3, 10), rng.uniform(3, 10),
+                      0.5 * math.pi * rng.integers(-2, 1) - 0.1 * rng.uniform(),
+                      rng.uniform(0.5, 4.0)])
+        xh = x + rng.uniform(0, 1, 4) * [1.0, 1.0, 0.3, 2.0]
+        u = rng.uniform(-5, 5, 2) * [1.0, 0.25]
+        uh = u + rng.uniform(0, 2, 2) * [1.0, 0.25]
+        return x, xh, u, uh
+
+    def test_vehicle_matches_row_by_row_reference(self):
+        sys = VehicleSystem().open_loop()
+        ref = reference_tight_d(sys)
+        rng = np.random.default_rng(29)
+        w = np.zeros(0)
+        for _ in range(4000):
+            x, xh, u, uh = self.vehicle_tuple(rng)
+            for args in ((x, xh, u, uh, w, w), (xh, x, uh, u, w, w)):
+                assert sys.d(*args).tobytes() == ref(*args).tobytes()
+
+    def test_vehicle_takes_row_stacks(self):
+        sys = VehicleSystem().open_loop()
+        rng = np.random.default_rng(31)
+        x, xh, u, uh = (np.array(v) for v in zip(*(self.vehicle_tuple(rng) for _ in range(5))))
+        w = np.zeros((5, 0))
+        for args in ((x, xh, u, uh, w, w), (xh, x, uh, u, w, w)):
+            got = sys.d(*args)
+            assert got.shape == (5, 4)
+            assert got.tobytes() == np.array([sys.d(*row) for row in zip(*args)]).tobytes()
 
 
 def check_decomposition_properties(sys, rng, count, sampler, tol_i=1e-9, tol_ii=1e-12):
@@ -723,7 +784,8 @@ class TestGatheredStep:
         emb, box = emb_box
         dt = 0.01
         for lo, hi in self.states(np.random.default_rng(17), box):
-            want = _faces_field(emb.sys, *_face_rows(lo, hi, lo, hi), emb._inputs)
+            want = _faces_field(emb.sys._face_extension, *_face_rows(lo, hi, lo, hi),
+                                emb._inputs)
             assert emb.field(lo, hi).tobytes() == want.tobytes()
             cur = np.concatenate((lo, hi))  # the step works on the flat state [lo, hi]
             out = np.empty_like(cur)
@@ -767,7 +829,7 @@ class TestGatheredStep:
         state = traj[0]
         for k in range(7):  # the steps of the face-row field
             faces = _face_rows(state[0], state[1], state[0], state[1])
-            field = _faces_field(sys, *faces, emb._inputs)
+            field = _faces_field(ext, *faces, emb._inputs)
             state = state + 0.01 * field.reshape(2, emb.n)
             assert traj[k + 1].tobytes() == state.tobytes()
 

@@ -57,7 +57,7 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     net.save(path)
     loaded = MLPNetwork.load(path)
-    assert loaded.input_dim == 2 and loaded.output_dim == 1
+    assert loaded.input_dim == 2 and loaded.layers[-1].out_dim == 1
     xs = np.random.default_rng(1).normal(size=(10, 2))
     assert np.allclose(loaded(xs), net(xs))
 
@@ -85,10 +85,10 @@ def test_load_rejects_ragged_weights(tmp_path):
 
 def test_benchmark_networks_have_expected_shapes():
     veh = MLPNetwork.load(NETWORKS / "vehicle_standin.json")
-    assert veh.input_dim == 4 and veh.output_dim == 2
+    assert veh.input_dim == 4 and veh.layers[-1].out_dim == 2
     assert [l.out_dim for l in veh.layers] == [100, 100, 2]
     di = MLPNetwork.load(NETWORKS / "double_integrator_standin.json")
-    assert di.input_dim == 2 and di.output_dim == 1
+    assert di.input_dim == 2 and di.layers[-1].out_dim == 1
     assert [l.out_dim for l in di.layers] == [10, 5, 1]
     assert "stand-in" in veh.description.lower()
     assert "stand-in" in di.description.lower()
