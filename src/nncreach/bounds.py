@@ -176,9 +176,13 @@ class InclusionFunction:
         return self.bounds.domain
 
     def check_domain(self, lo, hi) -> None:
-        span_lo = np.minimum(lo, hi)
-        span_hi = np.maximum(lo, hi)
-        if (span_lo < self._dom_lo).any() or (span_hi > self._dom_hi).any():
+        """Raise :class:`DomainError` unless the box spanned by ``lo`` and ``hi``
+        lies in the domain (widened by ``_DOMAIN_SLACK``)."""
+        self._check_ordered(np.minimum(lo, hi), np.maximum(lo, hi))
+
+    def _check_ordered(self, lo, hi) -> None:
+        """:meth:`check_domain` of an ordered pair ``lo <= hi``, which is its own span."""
+        if ((lo < self._dom_lo) | (hi > self._dom_hi)).any():
             raise DomainError("query box not contained in the relaxation domain")
 
     def __call__(self, a, b, check: bool = True):

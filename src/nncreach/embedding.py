@@ -43,6 +43,12 @@ is pinned at its own ends, so its faces are gathered straight from the
 flat state ``[lo, hi]`` through the same table taken modulo ``2n``:
 faces are laid out only by ``_face_index``.  The Euler step adds ``dt``
 times that field to the flat state in place.
+
+The discrete-time map of :class:`DiscreteLTIEmbedding` is one in-place
+step too: its lower and upper halves are written straight into the next
+flat state, each as two separate products and a bias added left to right.
+``integrate`` checks its start once per call (the caches are set, and for
+the discrete map the start is ordered) and every state it produces.
 """
 
 from __future__ import annotations
@@ -325,9 +331,10 @@ class _FrozenControlEmbedding:
     """What both embeddings share: a controller relaxation frozen over one
     control interval and the fixed-step integration loop.
 
-    Subclasses provide ``n``, ``incl`` and ``_step_into(cur, out, dt)``,
-    which writes the flat ``(2n,)`` state ``[lo, hi]`` one step after
-    ``cur`` into ``out``.
+    Subclasses provide ``n``, ``incl``, ``_check_start(state)``, which
+    raises unless the embedding can step from the flat ``(2n,)`` state
+    ``[lo, hi]``, and ``_step_into(cur, out, dt)``, which writes the flat
+    state one step after ``cur`` into ``out``.
     """
 
     def _control_inclusion(self, box: IntervalVector, reverify: bool, net,
@@ -339,14 +346,15 @@ class _FrozenControlEmbedding:
             return make_inclusion(crown_bounds(net, box))
         if inherited is None:
             raise ValueError("no inclusion function passed to inherit")
-        inherited.check_domain(box.lo, box.hi)
+        inherited._check_ordered(box.lo, box.hi)  # a box's ends are ordered
         return inherited
 
     def integrate(self, lo, hi, dt: float, steps: int) -> np.ndarray:
         """Integrate the embedding ``steps`` steps; returns ``(steps+1, 2, n)``.
 
-        Raises :class:`EmbeddingOrderError` at the first step whose state
-        loses its ordering or is not a number.
+        The start is checked once, by ``_check_start``; then every step's
+        state is.  Raises :class:`EmbeddingOrderError` at the first step
+        whose state loses its ordering or is not a number.
         """
         n = self.n
         traj = np.empty((steps + 1, 2, n))
@@ -355,6 +363,7 @@ class _FrozenControlEmbedding:
         flat = traj.reshape(steps + 1, 2 * n)  # the states [lo, hi]
         step_into = self._step_into
         cur = flat[0]
+        self._check_start(cur)
         for k in range(1, steps + 1):
             nxt = flat[k]
             step_into(cur, nxt, dt)
@@ -410,16 +419,20 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
             *self._w_rows,
         )
 
-    def _state_field(self, state) -> np.ndarray:
-        """Closed-loop field at a flat ordered state ``[lo, hi]``: one extension call."""
+    def _check_start(self, state) -> None:
         if self._inputs is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
+
+    def _state_field(self, state) -> np.ndarray:
+        """Closed-loop field at a flat ordered state ``[lo, hi]``: one extension call."""
         faces = state.take(self._state_faces)
         return _faces_field(self.sys._face_extension, faces[0], faces[1], self._inputs)
 
     def field(self, lo, hi) -> np.ndarray:
         """Closed-loop embedding field at an ordered state ``lo <= hi``."""
-        return self._state_field(np.concatenate((lo, hi)))
+        state = np.concatenate((lo, hi))
+        self._check_start(state)
+        return self._state_field(state)
 
     def _step_into(self, cur, out, dt):
         np.add(cur, dt * self._state_field(cur), out=out)
@@ -436,6 +449,13 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     ``M_lo = A + B+ C_lo + B- C_hi`` and ``M_hi = A + B+ C_hi + B- C_lo``;
     the update splits both into positive and negative parts.  The map
     takes no disturbance (``q = 0``).
+
+    There is one map, ``_step_into``: it writes ``Mlp @ lo + Mln @ hi +
+    blo`` and ``Mhn @ lo + Mhp @ hi + bhi`` into the two halves of the next
+    flat state.  The four products stay separate: one stacked ``(2n, n)``
+    product can differ from them in the last place (it does at ``n = 17``).
+    :meth:`step` and ``integrate`` check the start once, ``integrate`` its
+    states after every step, and the map itself checks nothing.
     """
 
     q = 0
@@ -485,21 +505,32 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
             self._Bn @ lb.d_lo + self._Bp @ lb.d_hi,
         )
 
-    def step(self, lo, hi):
+    def _check_start(self, state) -> None:
         if self._update is None:
             raise RuntimeError("control caches not initialized; call refresh_control")
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if (lo > hi).any():
+        n = state.shape[0] // 2
+        if (state[:n] > state[n:]).any():
             raise EmbeddingOrderError("discrete embedding step requires an ordered state")
-        Mlp, Mln, Mhp, Mhn, blo, bhi = self._update
-        new_lo = Mlp @ lo + Mln @ hi + blo
-        new_hi = Mhn @ lo + Mhp @ hi + bhi
-        return new_lo, new_hi
+
+    def step(self, lo, hi):
+        """One map step from the ordered pair ``lo <= hi``; returns ``(lo+, hi+)``."""
+        state = np.concatenate((lo, hi), dtype=float)
+        self._check_start(state)
+        out = np.empty_like(state)
+        self._step_into(state, out, 1.0)
+        n = state.shape[0] // 2
+        return out[:n], out[n:]
 
     def _step_into(self, cur, out, dt):
+        """The map, unchecked and in place; the sums run left to right."""
         n = cur.shape[0] // 2
-        out[:n], out[n:] = self.step(cur[:n], cur[n:])
+        lo, hi = cur[:n], cur[n:]
+        out_lo, out_hi = out[:n], out[n:]
+        Mlp, Mln, Mhp, Mhn, blo, bhi = self._update
+        np.add(Mlp @ lo, Mln @ hi, out=out_lo)
+        np.add(out_lo, blo, out=out_lo)
+        np.add(Mhn @ lo, Mhp @ hi, out=out_hi)
+        np.add(out_hi, bhi, out=out_hi)
 
     def d(self, x, xh, u, uh, w=None, wh=None):
         """Decomposition ``A+ x + A- xh + B+ u + B- uh`` of the one-step map.

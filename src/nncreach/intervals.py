@@ -75,7 +75,7 @@ class IntervalVector:
         The stack is validated once, as a whole, against the same rules
         and with the same messages as a single box, and copied once: every
         box's endpoints are read-only views into that one copy, so the
-        caller's array stays writable.
+        caller's array stays writable, and ``boxes[0].lo.base`` is the copy.
         """
         ends = np.array(ends, dtype=float)
         if ends.ndim != 3 or ends.shape[1] != 2:
@@ -117,14 +117,16 @@ class ToleranceVector:
 
     ``inf`` removes the constraint on an axis, ``0`` makes any positive
     width a violation (see the partition engine for how both are used).
-    The divisor ``div`` (``eps`` with zeros replaced by 1) and the mask
-    ``hard`` of zero entries are computed once, for
-    :func:`weighted_inf_norm`.
+    The divisor ``div`` (``eps`` with zeros replaced by 1), the mask
+    ``hard`` of zero entries, and whether any entry is zero or infinite
+    are computed once, for :func:`weighted_inf_norm`.
     """
 
     eps: np.ndarray
     div: np.ndarray = field(init=False, repr=False, compare=False)
     hard: np.ndarray = field(init=False, repr=False, compare=False)
+    _any_hard: bool = field(init=False, repr=False, compare=False)
+    _any_free: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = _as_vector(self.eps, "eps")
@@ -135,6 +137,8 @@ class ToleranceVector:
         for name, a in (("eps", eps), ("div", div), ("hard", hard)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_any_hard", bool(hard.any()))
+        object.__setattr__(self, "_any_free", bool(np.isinf(eps).any()))
 
     @property
     def n(self) -> int:
@@ -153,6 +157,14 @@ def weighted_inf_norm(x, eps):
 
     One division by ``eps.div`` gives every entry its value: ``|x_i| / inf``
     is ``+0.0``, and a hard axis divides by 1 before it is set to ``inf``.
+
+    ``x`` must be finite, and that is checked on the result: a NaN entry
+    stays NaN through the division and the ``max``, an infinite one gives
+    ``inf``, or NaN on an axis of infinite tolerance (``inf / inf``, whose
+    warning is silenced), so a finite norm proves its vector finite.  Only
+    a non-finite norm pays for the check of ``x`` itself, which tells a
+    non-finite entry (an error) from a hard axis or an overflowing quotient
+    (a legitimate ``inf``).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -161,16 +173,24 @@ def weighted_inf_norm(x, eps):
         eps = ToleranceVector(eps)
     if x.shape[-1:] != eps.eps.shape:
         raise ValueError("x and eps must have the same length")
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    if x.shape[-1] == 0:
-        out = np.zeros(x.shape[:-1])
+    ax = np.abs(x)
+    if eps._any_free:
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN, caught below
+            out = ax / eps.div
     else:
-        ax = np.abs(x)
         out = ax / eps.div
+    if eps._any_hard:
         out[eps.hard & (ax > 0)] = np.inf
-        out = out.max(axis=-1)
-    return float(out) if x.ndim == 1 else out
+    # every entry is NaN or at least +0.0, so the initial 0 only gives n = 0 its norm
+    out = np.maximum.reduce(out, axis=-1, initial=0.0)
+    if x.ndim == 1:
+        out = float(out)
+        finite = math.isfinite(out)
+    else:
+        finite = np.isfinite(out).all()
+    if not finite and not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    return out
 
 
 def matrix_measure_inf(A):
@@ -221,7 +241,7 @@ def uniform_divide(box: IntervalVector) -> list[IntervalVector]:
     lo, hi = box.lo, box.hi
     mid = lo + (hi - lo) / 2.0
     return IntervalVector.from_stack(
-        np.where(_child_bits(box.n), np.stack((mid, hi)), np.stack((lo, mid))))
+        np.where(_child_bits(box.n), np.array((mid, hi)), np.array((lo, mid))))
 
 
 def interval_hull(boxes) -> IntervalVector:

@@ -355,7 +355,8 @@ def _step_interval(ends, boxes: list, paths: list, j: int, params: AlgorithmPara
                 subdivisions += 1
                 inherited = None if len(path) < nn else eff
                 children = uniform_divide(box)
-                widths = weighted_inf_norm([child.width for child in children], eps).tolist()
+                kids = children[0].lo.base  # their (2**n, 2, n) stacked ends
+                widths = weighted_inf_norm(kids[:, 1] - kids[:, 0], eps).tolist()
                 todo.extend((children[i], path + (i,), widths[i], inherited)
                             for i in reversed(range(len(children))))
                 continue

@@ -204,6 +204,28 @@ class TestInclusionFunction:
         with pytest.raises(DomainError, match="not contained"):
             incl(np.array([-0.5, 0.0]), np.array([0.5, 0.5]))
 
+    def test_check_domain_spans_reversed_pairs(self):
+        """``check_domain`` accepts a pair iff the box it spans lies in the
+        domain widened by ``_DOMAIN_SLACK``, whatever the order of its ends."""
+        from nncreach.bounds import _DOMAIN_SLACK
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            box = random_box(rng, n)
+            incl = make_inclusion(crown_bounds(random_relu_network(rng, n_in=n), box))
+            edge_lo, edge_hi = box.lo - _DOMAIN_SLACK, box.hi + _DOMAIN_SLACK
+            # ends on, just outside or well inside the widened domain's edges
+            picks = [edge_lo, np.nextafter(edge_lo, -np.inf), edge_hi,
+                     np.nextafter(edge_hi, np.inf), box.lo + 0.5 * box.width]
+            a, b = (np.choose(rng.integers(0, len(picks), size=n), picks) for _ in "ab")
+            inside = (np.minimum(a, b) >= edge_lo).all() and (np.maximum(a, b) <= edge_hi).all()
+            for lo, hi in ((a, b), (b, a)):
+                if inside:
+                    incl.check_domain(lo, hi)
+                else:
+                    with pytest.raises(DomainError, match="not contained"):
+                        incl.check_domain(lo, hi)
+
     def test_shrinking_mostly_tighter_on_subboxes(self):
         """Re-relaxing on the sub-box is rarely worse than inheriting."""
         rng = np.random.default_rng(31)

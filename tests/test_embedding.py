@@ -20,7 +20,7 @@ from nncreach import (
 
 from nncreach.embedding import _face_rows, _faces_field
 
-from conftest import zero_network
+from conftest import random_box, random_relu_network, zero_network
 
 
 def scalar_leak():
@@ -601,6 +601,94 @@ class TestDiscreteLTIEmbedding:
                             inherited=exact_linear_inclusion(np.array([[0.0, 0.0]]), box))
         with pytest.raises(EmbeddingOrderError):
             emb.step(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+
+
+def reference_lti_step(emb, lo, hi):
+    """The one-step map as a formula on fresh arrays (oracle of the in-place map)."""
+    Mlp, Mln, Mhp, Mhn, blo, bhi = emb._update
+    return Mlp @ lo + Mln @ hi + blo, Mhn @ lo + Mhp @ hi + bhi
+
+
+class TestDiscreteMapBits:
+    """The in-place map writes the bits of the formula, whatever the size.
+
+    ``n = 17`` is a size where a single stacked ``(2n, n)`` product would
+    differ from the separate products in the last place.
+    """
+
+    @staticmethod
+    def random_map(rng, n):
+        p = int(rng.integers(1, 4))
+        A = rng.normal(0.0, 0.6 / math.sqrt(n), size=(n, n))
+        B = rng.normal(0.0, 1.0, size=(n, p))
+        net = random_relu_network(rng, n_in=n, n_out=p, depth=int(rng.integers(1, 4)))
+        box = random_box(rng, n)
+        emb = DiscreteLTIEmbedding(A, B)
+        emb.refresh_control(box, reverify=True, net=net)
+        return emb, box
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+    def test_integrate_and_step_match_the_formula(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(25):
+            emb, box = self.random_map(rng, n)
+            steps = int(rng.integers(1, 6))
+            want = [(box.lo, box.hi)]
+            for _ in range(steps):
+                want.append(reference_lti_step(emb, *want[-1]))
+            traj = emb.integrate(box.lo, box.hi, 1.0, steps)
+            assert traj.tobytes() == np.array(want).tobytes()
+            # step on random ordered boxes inside and outside the relaxed one
+            inner = random_box(rng, n)
+            for lo, hi in ((box.lo, box.hi), (inner.lo, inner.hi)):
+                got = emb.step(lo, hi)
+                ref = reference_lti_step(emb, lo, hi)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_crossed_start_raises(self, n):
+        emb, box = self.random_map(np.random.default_rng(n), n)
+        lo, hi = box.lo.copy(), box.hi.copy()
+        lo[n // 2] = hi[n // 2] + 1e-12
+        with pytest.raises(EmbeddingOrderError, match="ordered state"):
+            emb.step(lo, hi)
+        with pytest.raises(EmbeddingOrderError, match="ordered state"):
+            emb.integrate(lo, hi, 1.0, 3)
+
+
+class TestRefreshDomainCheck:
+    """A refresh that inherits a relaxation checks the leaf's box against the
+    relaxation's domain, widened by ``_DOMAIN_SLACK`` on every side."""
+
+    @staticmethod
+    def embeddings():
+        di = DiscreteLTIEmbedding(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.5], [1.0]]))
+        plant = affine_system(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+        return {"discrete": di, "continuous": ClosedLoopEmbedding(plant)}
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_box_leaving_the_slack_raises(self, kind, di_net, di_box):
+        from nncreach import crown_bounds
+        from nncreach.bounds import _DOMAIN_SLACK
+        incl = make_inclusion(crown_bounds(di_net, di_box))
+        emb = self.embeddings()[kind]
+        edge_lo = di_box.lo - _DOMAIN_SLACK
+        edge_hi = di_box.hi + _DOMAIN_SLACK
+        for axis in range(di_box.n):
+            for end in ("lo", "hi"):
+                lo, hi = di_box.lo.copy(), di_box.hi.copy()
+                if end == "lo":
+                    lo[axis] = edge_lo[axis]  # on the widened domain's edge
+                else:
+                    hi[axis] = edge_hi[axis]
+                emb.refresh_control(IntervalVector(lo, hi), reverify=False, inherited=incl)
+                if end == "lo":
+                    lo[axis] = np.nextafter(edge_lo[axis], -np.inf)
+                else:
+                    hi[axis] = np.nextafter(edge_hi[axis], np.inf)
+                with pytest.raises(DomainError, match="not contained"):
+                    emb.refresh_control(IntervalVector(lo, hi), reverify=False,
+                                        inherited=incl)
 
 
 class TestReusedEmbedding:

@@ -264,6 +264,60 @@ class TestWeightedInfNorm:
         with pytest.raises(ValueError, match="scalar"):
             weighted_inf_norm(1.0, [1.0])
 
+    @staticmethod
+    def checked_first(x, eps):
+        """The norm with its finite check made on ``x`` before the division (oracle)."""
+        x = np.asarray(x, dtype=float)
+        tol = ToleranceVector(eps)
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        if x.shape[-1] == 0:
+            out = np.zeros(x.shape[:-1])
+        else:
+            ax = np.abs(x)
+            out = ax / tol.div
+            out[tol.hard & (ax > 0)] = np.inf
+            out = out.max(axis=-1)
+        return float(out) if x.ndim == 1 else out
+
+    def test_finite_check_after_division_keeps_the_bits(self):
+        rng = np.random.default_rng(41)
+        for _ in range(600):
+            n = int(rng.integers(0, 7))
+            shape = (n,) if rng.random() < 0.5 else (int(rng.integers(0, 6)), n)
+            x, eps = self.stack_cases(rng, int(np.prod(shape[:-1], dtype=int)), n)
+            x = x.reshape(shape)
+            with np.errstate(over="ignore"):  # a tiny eps may overflow to inf
+                want = np.asarray(self.checked_first(x, eps)).tobytes()
+                for tol in (eps, ToleranceVector(eps)):
+                    assert np.asarray(weighted_inf_norm(x, tol)).tobytes() == want, (x, eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, INF, -INF])
+    @pytest.mark.parametrize("axis_eps", [1.0, INF, 0.0])
+    def test_nonfinite_entry_raises_on_every_kind_of_axis(self, bad, axis_eps):
+        # the bad entry sits on a finite, an infinite or a hard axis, next to
+        # a hard axis whose nonzero entry alone would make the norm inf
+        eps = [axis_eps, 0.0, 1.0]
+        for x in ([bad, 0.0, 1.0], [bad, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="x must be finite"):
+                weighted_inf_norm(x, eps)
+            stack = np.array([[0.5, 0.0, 0.5], x, [0.0, 0.0, 0.0]])
+            with pytest.raises(ValueError, match="x must be finite"):
+                weighted_inf_norm(stack, ToleranceVector(eps))
+
+    def test_legitimate_inf_does_not_raise(self):
+        # a nonzero entry on a hard axis, and a quotient that overflows
+        assert weighted_inf_norm([0.0, 1e-300], [1.0, 0.0]) == INF
+        got = weighted_inf_norm(np.array([[0.0, 1e-300], [0.5, 0.0]]), [1.0, 0.0])
+        assert got.tolist() == [INF, 0.5]
+        with np.errstate(over="ignore"):
+            assert weighted_inf_norm([1e300, 0.0], [1e-300, INF]) == INF
+
+    def test_empty_vectors_have_norm_zero(self):
+        assert weighted_inf_norm(np.zeros(0), ToleranceVector(np.zeros(0))) == 0.0
+        assert weighted_inf_norm(np.zeros((2, 0)), np.zeros(0)).tolist() == [0.0, 0.0]
+        assert weighted_inf_norm(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+
 
 class TestMatrixMeasure:
     def test_identity(self):
@@ -387,6 +441,9 @@ class TestUniformDivideBits:
             for g, w in zip(got, want):
                 assert g.lo.tobytes() == w.lo.tobytes()
                 assert g.hi.tobytes() == w.hi.tobytes()
+            # the engine reads the children's widths from their one stacked copy
+            stacked = np.array([(w.lo, w.hi) for w in want])
+            assert got[0].lo.base.tobytes() == stacked.tobytes()
 
     def test_overflowing_midpoint_raises_as_before(self):
         big = np.finfo(float).max

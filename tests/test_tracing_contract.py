@@ -36,6 +36,7 @@ TRAJECTORIES = 5
     ("vehicle_adaptive_d2n1", ["horizon=0.5"]),
     ("di_uniform_d2n2", []),
     ("vehicle_uniform_d2n1", ["horizon=0.5"]),
+    ("di_adaptive_d6n2", []),
 ])
 def test_traced_counts_reconcile(name, overrides, tmp_path):
     tracing = load_tracing()
