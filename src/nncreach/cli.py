@@ -15,7 +15,6 @@ left its validity region).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -28,7 +27,7 @@ from .config import (ConfigError, ExperimentConfig, _json_value, build_experimen
 from .contraction import diagnose
 from .embedding import EmbeddingOrderError
 from .montecarlo import containment_check, sample_trajectories
-from .partition import compute_reachable_set, csv_rows
+from .partition import compute_reachable_set, csv_template, write_csv_blocks
 from .volume import hull_volume
 
 EXIT_OK = 0
@@ -131,12 +130,12 @@ def cmd_mc(args) -> int:
     times, traj = sample_trajectories(exp.model, exp.root_box, count, cfg.seed)
     report = containment_check(tube, traj)
     n = traj.shape[2]
-    header = "time,trajectory," + ",".join(f"x{i}" for i in range(n))
-    rows = [header]
-    t_list = times.tolist()
-    for tid, states in enumerate(traj.tolist()):
-        rows += csv_rows(t_list, itertools.repeat(tid), states)
-    (out_dir / "trajectories.csv").write_text("\n".join(rows) + "\n")
+    # one block per trajectory: rows time,id,x0,x1,... with the id as the key
+    pieces = csv_template("%.17g,", [",%.17g" * n] * len(times))
+    write_csv_blocks(out_dir / "trajectories.csv",
+                     "time,trajectory," + ",".join(f"x{i}" for i in range(n)),
+                     ((pieces, str(tid), np.column_stack((times, states)).ravel().tolist())
+                      for tid, states in enumerate(traj)))
     _write_json(out_dir / "mc_report.json", {
         "schema": 1,
         "trajectories": count,

@@ -17,6 +17,10 @@ from .partition import ReachTube
 
 __all__ = ["sample_trajectories", "containment_check", "ContainmentReport"]
 
+# Deficit elements in each of containment_check's two fold buffers: a chunk
+# is max(1, _FOLD_ELEMENTS // count) boxes against all count points.
+_FOLD_ELEMENTS = 2 ** 16
+
 
 def sample_trajectories(model, init_box, count: int, seed: int):
     """Simulate ``count`` closed-loop trajectories from uniform initial states.
@@ -62,10 +66,16 @@ def containment_check(tube: ReachTube, trajectories, slack: float = 1e-9) -> Con
     A point's deficit against a box is its largest coordinate overshoot,
     ``max_i max(lo_i - x_i, x_i - hi_i)``; its deficit against the tube is
     the smallest over the step's boxes, and the point violates the tube
-    when that exceeds ``slack``.  Each step folds the coordinates in order
-    into one ``(B, count)`` array, so the result is exact: every element
-    sees the same subtractions, and the max and min see the same floats,
-    whatever the evaluation order.
+    when that exceeds ``slack``.  Each step folds its boxes a chunk at a
+    time through two ``(chunk, count)`` buffers allocated once per call:
+    the overshoots ``lo_0 - x_0, x_0 - hi_0, lo_1 - x_1, ...`` are
+    subtracted into one buffer and maxed into the other in order, each
+    chunk's per-point minimum over its boxes is taken, and a running
+    ``np.minimum`` keeps each point's best across chunks.  The result is
+    exact, whatever the chunk size: every element sees the same
+    subtractions, and ``np.maximum`` and ``np.minimum`` pick the same
+    operand on every tie (``+0.0`` against ``-0.0``) and propagate NaN, so
+    a fold in the same order gives the same bits however it is grouped.
 
     A point that is not finite is a violation with deficit ``inf``, so
     ``worst_deficit <= slack`` still means the report is ok.  The
@@ -85,17 +95,33 @@ def containment_check(tube: ReachTube, trajectories, slack: float = 1e-9) -> Con
             f"state-dimension mismatch: trajectories have {n} coordinates, "
             f"tube has {tube.n}"
         )
+    sizes = [len(boxes) for boxes in tube.boxes]
+    if min(sizes) == 0:
+        raise ValueError("every tube step must hold at least one box")
+    chunk = max(1, _FOLD_ELEMENTS // count)
+    rows = min(chunk, max(sizes))
+    deficit, scratch = np.empty((rows, count)), np.empty((rows, count))
+    best, part = np.empty(count), np.empty(count)
     violations = 0
     worst = -np.inf
     first = None
     for k in range(K):
         lo = tube.boxes[k][:, 0].T[:, :, None]  # (n, B, 1)
         hi = tube.boxes[k][:, 1].T[:, :, None]
-        x = traj[:, k].T                        # (n, count)
-        deficit = np.maximum(lo[0] - x[0], x[0] - hi[0])  # (B, count)
-        for i in range(1, n):
-            np.maximum(deficit, np.maximum(lo[i] - x[i], x[i] - hi[i]), out=deficit)
-        best = deficit.min(axis=0)
+        x = np.ascontiguousarray(traj[:, k].T)  # (n, count)
+        for start in range(0, lo.shape[1], chunk):
+            stop = min(start + chunk, lo.shape[1])
+            d, tmp = deficit[:stop - start], scratch[:stop - start]
+            np.subtract(lo[0, start:stop], x[0], out=d)  # the fold starts at lo_0 - x_0
+            for i in range(n):
+                if i > 0:
+                    np.subtract(lo[i, start:stop], x[i], out=tmp)
+                    np.maximum(d, tmp, out=d)
+                np.subtract(x[i], hi[i, start:stop], out=tmp)
+                np.maximum(d, tmp, out=d)
+            np.minimum.reduce(d, axis=0, out=part if start else best)
+            if start:
+                np.minimum(best, part, out=best)
         top = float(best.max())
         worst = max(worst, np.inf if np.isnan(top) else top)
         bad = ~(best <= slack)  # a NaN coordinate gives a NaN deficit

@@ -113,15 +113,31 @@ class StepStats(NamedTuple):
     subdivisions: int
 
 
-def csv_rows(times, ids, values) -> list[str]:
-    """CSV lines ``time,id,v0,v1,...`` with every float written as ``%.17g``.
+def csv_template(lead: str, tails: list[str]) -> list[str]:
+    """Pieces of the CSV rows ``lead + key + tail``, one row per tail.
 
-    ``values`` is a list with one equal-length sequence of floats per line.
+    ``key.join(pieces)`` is the rows' text with the block's ``key`` in every
+    row and a ``\\n`` after each; the ``%`` fields in ``lead`` and the tails
+    are left to be filled.
     """
-    if not values:
-        return []
-    fmt = "%.17g,%d," + ",".join(["%.17g"] * len(values[0]))
-    return [fmt % (t, i, *v) for t, i, v in zip(times, ids, values)]
+    if not tails:
+        return [""]
+    return [lead] + [tail + "\n" + lead for tail in tails[:-1]] + [tails[-1] + "\n"]
+
+
+def write_csv_blocks(path, header: str, blocks) -> None:
+    """Write ``header`` and then ``blocks``, one block of rows at a time.
+
+    Each block is ``(pieces, key, values)``: the pieces of
+    :func:`csv_template`, the string that fills the block's key column and
+    the flat list of the floats for its ``%.17g`` fields in row order.  A
+    block is formatted by one ``%`` and written straight to the file, so only
+    one block's text is held at a time.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for pieces, key, values in blocks:
+            fh.write(key.join(pieces) % tuple(values))
 
 
 @dataclass
@@ -155,16 +171,27 @@ class ReachTube:
         return k
 
     def write_csv(self, path) -> None:
-        n = self.n
-        cols = ",".join(f"lo{i},hi{i}" for i in range(n))
-        lines = [f"time,partition,{cols}"]
-        for t, arr in zip(self.times.tolist(), self.boxes):
-            count = arr.shape[0]
-            # per partition: lo0, hi0, lo1, hi1, ...
-            vals = arr.transpose(0, 2, 1).reshape(count, 2 * n).tolist()
-            lines += csv_rows(itertools.repeat(t), range(count), vals)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write ``time,partition,lo0,hi0,lo1,hi1,...`` rows, floats as ``%.17g``.
+
+        Each time step is one block: its boxes' ends are formatted by one
+        ``%`` over the step's flat list, into a row template that holds the
+        partition ids and is rebuilt only when the leaf count changes, and
+        the block goes straight to the file.  The memory held is one step's
+        text, not the tube's.
+        """
+        fields = ",%.17g" * (2 * self.n)
+        header = "time,partition," + ",".join(f"lo{i},hi{i}" for i in range(self.n))
+
+        def blocks():
+            pieces = csv_template("", [])
+            for t, arr in zip(self.times.tolist(), self.boxes):
+                count = arr.shape[0]
+                if len(pieces) != count + 1:
+                    pieces = csv_template("", [f",{i}{fields}" for i in range(count)])
+                # per partition: lo0, hi0, lo1, hi1, ...
+                yield pieces, "%.17g" % t, arr.transpose(0, 2, 1).ravel().tolist()
+
+        write_csv_blocks(path, header, blocks())
 
 
 # ---------------------------------------------------------------------------

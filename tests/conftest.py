@@ -57,3 +57,30 @@ def random_box(rng, n, scale=2.0) -> IntervalVector:
     center = rng.normal(0.0, scale, size=n)
     half = rng.uniform(0.05, scale, size=n)
     return IntervalVector(center - half, center + half)
+
+
+# Floats whose %.17g text is easy to get wrong: signed zeros, subnormals,
+# huge and integral values, the non-finite ones.
+AWKWARD_FLOATS = np.array([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300,
+                           -1e300, 3.0, -17.0, 2.0 ** 53, 1e16, 0.1, 1 / 3, math.inf,
+                           -math.inf, math.nan])
+
+
+def awkward_floats(rng, shape, share=0.5):
+    """Normal draws with ``share`` of the entries replaced by ``AWKWARD_FLOATS``."""
+    out = rng.normal(0.0, 10.0, size=shape)
+    pick = rng.random(shape) < share
+    out[pick] = rng.choice(AWKWARD_FLOATS, size=int(pick.sum()))
+    return out
+
+
+def per_line_csv(header, times, ids, values) -> str:
+    """Test oracle: CSV text ``time,id,v0,v1,...`` formatted one ``%`` per line.
+
+    ``times``, ``ids`` and ``values`` give one entry per line; every float is
+    written as ``%.17g``.
+    """
+    lines = [header]
+    for t, i, v in zip(times, ids, values):
+        lines.append(("%.17g,%d," + ",".join(["%.17g"] * len(v))) % (t, i, *v))
+    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from nncreach.config import (
     run_experiment,
 )
 
-from conftest import CONFIGS, NETWORKS
+from conftest import CONFIGS, NETWORKS, awkward_floats, per_line_csv
 
 
 def di_config_dict(**overrides):
@@ -431,6 +431,32 @@ class TestCommandLine:
         assert report["violations"] == 1
         assert report["first_violation"] == [2, 1]
         assert report["worst_deficit"] == "inf"
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_mc_trajectories_csv_matches_per_line_formatter(self, tmp_path, monkeypatch,
+                                                           count):
+        import nncreach.cli as climod
+
+        rng = np.random.default_rng(count)
+        sampled = []
+
+        def awkward(model, box, count, seed):
+            sampled.append((model.times,
+                            awkward_floats(rng, (count, len(model.times), model.n))))
+            return sampled[-1]
+
+        monkeypatch.setattr(climod, "sample_trajectories", awkward)
+        path = write_config(tmp_path, di_config_dict())
+        out = tmp_path / "o"
+        # the non-finite states are violations
+        assert cli.main(["mc", "--config", str(path), "--out", str(out),
+                         "--reps", str(count)]) == 2
+        (times, traj), = sampled
+        K = len(times)
+        expected = per_line_csv("time,trajectory,x0,x1", times.tolist() * count,
+                                [tid for tid in range(count) for _ in range(K)],
+                                traj.reshape(count * K, 2).tolist())
+        assert (out / "trajectories.csv").read_bytes() == expected.encode()
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from nncreach.embedding import EmbeddingOrderError

@@ -308,6 +308,26 @@ def test_mc_report_matches_golden_digest(tmp_path, name, overrides):
     assert digest == GOLDEN_MC_REPORT_SHA256[name, overrides]
 
 
+# sha256 of the trajectories.csv that the same `nncreach mc` runs write: the
+# sampled states, every float as %.17g.  A digest here may change only under
+# the rule in the module docstring.
+GOLDEN_TRAJECTORIES_SHA256 = {
+    ("di_adaptive_d3n1", ()):
+        "e626cffd58d7d0d54542174af3655e3c14227a608e45b5b08571369d8435d372",
+    ("vehicle_adaptive_d2n1", ("horizon=0.5",)):
+        "458c524f2bd65463de367819e2114a20887b175f276ae50514258bfd8fbdcb4b",
+}
+
+
+@pytest.mark.parametrize("name, overrides", sorted(GOLDEN_TRAJECTORIES_SHA256))
+def test_trajectories_csv_matches_golden_digest(tmp_path, name, overrides):
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert cli.main(["mc", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(tmp_path), *sets]) == 0
+    digest = hashlib.sha256((tmp_path / "trajectories.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRAJECTORIES_SHA256[name, overrides]
+
+
 # Decomposition-only engine path: (disturbed, mode, depth_max, nn_depth_max,
 # gamma, eps) -> (tube.csv sha256, sha256 of json.dumps(interval_stats)) of
 # the affine loop above over 1 s (four control intervals of five Euler

@@ -22,6 +22,7 @@ from nncreach import (
     sample_trajectories,
     union_area_raster,
 )
+from nncreach import montecarlo
 from nncreach.intervals import interval_mul
 from nncreach.partition import StepStats
 
@@ -274,6 +275,11 @@ class TestContainment:
         with pytest.raises(ValueError, match="state-dimension mismatch"):
             containment_check(tube, np.zeros((1, len(tube.times), n)))
 
+    def test_empty_step_rejected(self):
+        tube = manual_tube([[[[0.0, 0.0], [1.0, 1.0]]], np.zeros((0, 2, 2))])
+        with pytest.raises(ValueError, match="at least one box"):
+            containment_check(tube, np.zeros((1, 2, 2)))
+
     @pytest.mark.parametrize("bad_point", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]])
     def test_non_finite_point_is_violation(self, bad_point):
         tube = manual_tube([[[[0.0, 0.0], [1.0, 1.0]]]])
@@ -322,6 +328,54 @@ class TestContainment:
             zero_worst += expected.worst_deficit == 0.0
         assert zero_worst >= 20
 
+    @pytest.mark.parametrize("count", [7, 200, 40000])
+    def test_chunked_fold_matches_one_array_fold(self, count):
+        # count never divides the fold size; B is one box short of a chunk, a
+        # chunk, and three chunks and one box.  Clean cases put every point on
+        # a face of a box with a zero-width first axis, so each point's best
+        # deficit is +0.0 or -0.0 and the signs show the fold's order across
+        # chunks; dirty cases add points off the faces, and non-finite box ends
+        # and points, all past the first chunk.
+        chunk = max(1, montecarlo._FOLD_ELEMENTS // count)
+        rng = np.random.default_rng(count)
+
+        def signed(a):
+            return a * rng.choice([-1.0, 1.0], size=a.shape)
+
+        zero_worst = violated = 0
+        for B in sorted({max(1, chunk - 1), chunk, 3 * chunk + 1}):
+            later = chunk if B > chunk else 0
+            for clean in [True] * 6 + [False] * 2:
+                n, K = int(rng.integers(1, 4)), 3
+                traj = signed(rng.integers(0, 6, (count, K, n)) / 2.0)
+                stacks = []
+                for k in range(K):
+                    lo = signed(rng.integers(0, 5, (B, n)) / 2.0)
+                    hi = lo + rng.integers(0, 3, (B, n)) / 2.0
+                    if clean:
+                        hi[:, 0] = lo[:, 0]
+                    stack = np.stack([lo, np.where(hi == 0, signed(hi), hi)], axis=1)
+                    boxes = stack[rng.integers(later, B, count)]
+                    on_face = boxes[np.arange(count)[:, None], rng.integers(0, 2, (count, n)),
+                                    np.arange(n)]
+                    pick = rng.random(count) < (1.0 if clean else 0.7)
+                    traj[pick, k] = on_face[pick]
+                    if k == 1 and later:  # the first chunk is far off
+                        stack[:later, :, 0] += 100.0
+                    stacks.append(stack)
+                if not clean:  # (no inf - inf: it warns, and warnings are errors here)
+                    stacks[1][B - 1, :, 0] = [-np.inf, np.inf]
+                    traj[count - 1, 2, 0] = rng.choice([np.nan, np.inf, -np.inf])
+                    if rng.random() < 0.5:
+                        stacks[2][B - 1, int(rng.integers(0, 2)), n - 1] = np.nan
+                tube = manual_tube(stacks)
+                slack = float(rng.choice([1e-9, 0.0, 0.5]))
+                expected = one_array_containment(tube, traj, slack)
+                assert repr(containment_check(tube, traj, slack)) == repr(expected)
+                zero_worst += expected.worst_deficit == 0.0
+                violated += expected.violations > 0
+        assert zero_worst >= 10 and violated >= 4
+
 
 def broadcast_containment(tube, traj, slack):
     """Test oracle: the ``(B, count, n)`` broadcast form of the containment check."""
@@ -339,6 +393,26 @@ def broadcast_containment(tube, traj, slack):
                 first = (k, int(np.argmax(bad)))
     return ContainmentReport(violations, worst, first)
 
+
+def one_array_containment(tube, traj, slack):
+    """Test oracle: the containment fold over one ``(B, count)`` array per step."""
+    violations, worst, first = 0, -np.inf, None
+    for k in range(traj.shape[1]):
+        lo = tube.boxes[k][:, 0].T[:, :, None]  # (n, B, 1)
+        hi = tube.boxes[k][:, 1].T[:, :, None]
+        x = traj[:, k].T                        # (n, count)
+        deficit = np.maximum(lo[0] - x[0], x[0] - hi[0])  # (B, count)
+        for i in range(1, traj.shape[2]):
+            np.maximum(deficit, np.maximum(lo[i] - x[i], x[i] - hi[i]), out=deficit)
+        best = deficit.min(axis=0)
+        top = float(best.max())
+        worst = max(worst, np.inf if np.isnan(top) else top)
+        bad = ~(best <= slack)
+        if bad.any():
+            violations += int(bad.sum())
+            if first is None:
+                first = (k, int(np.argmax(bad)))
+    return ContainmentReport(violations, worst, first)
 
 def per_box_raster(boxes, resolution):
     """Test oracle: the cell-centre raster of the union, one box at a time."""

@@ -10,6 +10,7 @@ from nncreach import (
     DoubleIntegratorSystem,
     IntervalVector,
     OpenLoopSystem,
+    ReachTube,
     ToleranceVector,
     affine_system,
     compute_reachable_set,
@@ -17,7 +18,7 @@ from nncreach import (
 from nncreach.intervals import interval_hull
 from nncreach.partition import _predicate_fires, _probe_steps
 
-from conftest import CONFIGS, zero_network
+from conftest import CONFIGS, awkward_floats, per_line_csv, zero_network
 
 INF = np.inf
 
@@ -442,3 +443,33 @@ class TestFrontierArrays:
         hulls = [box for box in verified if id(box) not in from_stacks]
         assert [id(b) for b in singles] == [id(b) for b in hulls]
         assert len(singles) < sum(s.nn_calls for s in stats) < sum(s.leaf_count for s in stats)
+
+
+class TestTubeCsvBlocks:
+    """``write_csv`` writes a time step per block; the bytes are those of one
+    ``%.17g`` line per box."""
+
+    @staticmethod
+    def per_line_text(tube):
+        n = tube.n
+        times, ids, values = [], [], []
+        for t, arr in zip(tube.times.tolist(), tube.boxes):
+            times += [t] * len(arr)
+            ids += range(len(arr))
+            values += arr.transpose(0, 2, 1).reshape(len(arr), 2 * n).tolist()
+        return per_line_csv("time,partition," + ",".join(f"lo{i},hi{i}" for i in range(n)),
+                            times, ids, values)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_per_line_formatter(self, tmp_path, n):
+        rng = np.random.default_rng(23 + n)
+        path = tmp_path / "tube.csv"
+        for _ in range(30):
+            K = int(rng.integers(1, 9))
+            # counts repeat and change from step to step, as leaves split
+            counts = rng.choice([1, 2, 3, 7, 16], size=K)
+            boxes = [awkward_floats(rng, (int(c), 2, n)) for c in counts]
+            tube = ReachTube(times=awkward_floats(rng, K, share=0.3), boxes=boxes,
+                             interval_stats=[])
+            tube.write_csv(path)
+            assert path.read_bytes() == self.per_line_text(tube).encode()
