@@ -45,8 +45,9 @@ faces are laid out only by ``_face_index``.  The Euler step adds ``dt``
 times that field to the flat state in place.
 
 The discrete-time map of :class:`DiscreteLTIEmbedding` is one in-place
-step too: its lower and upper halves are written straight into the next
-flat state, each as two separate products and a bias added left to right.
+step too: one broadcast product of the split update matrices, packed once
+per relaxation, against the two halves of the flat state, then the two
+partial sums and the bias added left to right into the next flat state.
 ``integrate`` checks its start once per call (the caches are set, and for
 the discrete map the start is ordered) and every state it produces.
 """
@@ -448,32 +449,42 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     Uses the per-step linear relaxation of the controller to form
     ``M_lo = A + B+ C_lo + B- C_hi`` and ``M_hi = A + B+ C_hi + B- C_lo``;
     the update splits both into positive and negative parts.  The map
-    takes no disturbance (``q = 0``).
+    takes no disturbance (``q = 0``).  ``A`` and ``B`` are kept as
+    read-only copies, so that later writes to the caller's arrays reach
+    neither the map nor its split parts.
 
     There is one map, ``_step_into``: it writes ``Mlp @ lo + Mln @ hi +
     blo`` and ``Mhn @ lo + Mhp @ hi + bhi`` into the two halves of the next
-    flat state.  The four products stay separate: one stacked ``(2n, n)``
-    product can differ from them in the last place (it does at ``n = 17``).
-    :meth:`step` and ``integrate`` check the start once, ``integrate`` its
-    states after every step, and the map itself checks nothing.
+    flat state.  ``refresh_control`` packs the four matrices once per
+    relaxation as ``M = [[Mlp, Mhn], [Mln, Mhp]]`` (state half, output half,
+    ``n``, ``n``) and the biases as ``b = [blo, bhi]``, both read-only, and
+    the step is one ``matmul`` of ``M`` against the halves.  That stacks
+    whole matrices, so each ``(n, n)`` item is its own matrix-vector
+    product with the bits of ``Mlp @ lo``; stacking matrix rows into one
+    ``(2n, n)`` product instead can differ in the last place (it does at
+    ``n = 17``).  :meth:`step` and ``integrate`` check the start once,
+    ``integrate`` its states after every step, and the map itself checks
+    nothing.
     """
 
     q = 0
 
     def __init__(self, A, B):
-        self.A = np.asarray(A, dtype=float)
-        self.B = np.asarray(B, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+        # copies, so that freezing them leaves the caller's arrays writable
+        A = np.array(A, dtype=float)
+        B = np.array(B, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
+        if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError("B must be n x p")
-        self._Ap = np.maximum(self.A, 0.0)
-        self._An = np.minimum(self.A, 0.0)
-        self._Bp = np.maximum(self.B, 0.0)
-        self._Bn = np.minimum(self.B, 0.0)
+        for name, a in (("A", A), ("B", B),
+                        ("_Ap", np.maximum(A, 0.0)), ("_An", np.minimum(A, 0.0)),
+                        ("_Bp", np.maximum(B, 0.0)), ("_Bn", np.minimum(B, 0.0))):
+            a.setflags(write=False)
+            setattr(self, name, a)
         self.w_lo = self.w_hi = np.zeros(0)
         self.incl: InclusionFunction | None = None
-        self._update = None
+        self._update = None  # the packed (M, b), shared by every leaf of a relaxation
 
     @property
     def n(self) -> int:
@@ -486,10 +497,12 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
                         inherited: InclusionFunction | None = None,
                         interval_index: int = 0) -> None:
-        """Refresh the relaxation and the split update matrices built from it.
+        """Refresh the relaxation and the packed update built from it.
 
         The domain check runs on every refresh; the update is rebuilt only
-        when the relaxation differs from the one it was built from.
+        when the relaxation differs from the one it was built from.  Its
+        arrays are read-only: every leaf stepped under the relaxation
+        reads them.
         """
         incl = self._control_inclusion(box, reverify, net, inherited)
         if incl is self.incl:
@@ -498,12 +511,13 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         lb = incl.bounds
         M_lo = self.A + self._Bp @ lb.C_lo + self._Bn @ lb.C_hi
         M_hi = self.A + self._Bp @ lb.C_hi + self._Bn @ lb.C_lo
-        self._update = (
-            np.maximum(M_lo, 0.0), np.minimum(M_lo, 0.0),
-            np.maximum(M_hi, 0.0), np.minimum(M_hi, 0.0),
-            self._Bp @ lb.d_lo + self._Bn @ lb.d_hi,
-            self._Bn @ lb.d_lo + self._Bp @ lb.d_hi,
-        )
+        M = np.array([[np.maximum(M_lo, 0.0), np.minimum(M_hi, 0.0)],
+                      [np.minimum(M_lo, 0.0), np.maximum(M_hi, 0.0)]])
+        b = np.array([self._Bp @ lb.d_lo + self._Bn @ lb.d_hi,
+                      self._Bn @ lb.d_lo + self._Bp @ lb.d_hi])
+        M.setflags(write=False)
+        b.setflags(write=False)
+        self._update = (M, b)
 
     def _check_start(self, state) -> None:
         if self._update is None:
@@ -523,14 +537,13 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
 
     def _step_into(self, cur, out, dt):
         """The map, unchecked and in place; the sums run left to right."""
-        n = cur.shape[0] // 2
-        lo, hi = cur[:n], cur[n:]
-        out_lo, out_hi = out[:n], out[n:]
-        Mlp, Mln, Mhp, Mhn, blo, bhi = self._update
-        np.add(Mlp @ lo, Mln @ hi, out=out_lo)
-        np.add(out_lo, blo, out=out_lo)
-        np.add(Mhn @ lo, Mhp @ hi, out=out_hi)
-        np.add(out_hi, bhi, out=out_hi)
+        M, b = self._update
+        n = b.shape[1]
+        # prod[s, o] is the product of M[s, o] with state half s for output half o
+        prod = np.matmul(M, cur.reshape(2, 1, n, 1))[..., 0]
+        halves = out.reshape(2, n)
+        np.add(prod[0], prod[1], out=halves)
+        np.add(halves, b, out=halves)
 
     def d(self, x, xh, u, uh, w=None, wh=None):
         """Decomposition ``A+ x + A- xh + B+ u + B- uh`` of the one-step map.

@@ -285,8 +285,11 @@ class DiscreteLTIModel:
         _require_pair(w_box, 0, "disturbance")  # the map takes no disturbance
         if horizon_steps < 1:
             raise ValueError("need at least one step")
-        self.A = np.asarray(A, dtype=float)
-        self.B = np.asarray(B, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        self.A = np.array(A, dtype=float)
+        self.B = np.array(B, dtype=float)
+        self.A.setflags(write=False)
+        self.B.setflags(write=False)
         self.net = net
         self.dt = 1.0
         self.times = np.arange(horizon_steps + 1, dtype=float)

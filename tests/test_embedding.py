@@ -605,45 +605,105 @@ class TestDiscreteLTIEmbedding:
 
 def reference_lti_step(emb, lo, hi):
     """The one-step map as a formula on fresh arrays (oracle of the in-place map)."""
-    Mlp, Mln, Mhp, Mhn, blo, bhi = emb._update
+    M, (blo, bhi) = emb._update
+    (Mlp, Mhn), (Mln, Mhp) = M
     return Mlp @ lo + Mln @ hi + blo, Mhn @ lo + Mhp @ hi + bhi
+
+
+def test_discrete_update_is_read_only(di_box):
+    """Every leaf of a relaxation reads the one packed update: a stray write
+    into it raises instead of changing the later leaves' steps."""
+    emb = DiscreteLTIEmbedding(TestDiscreteLTIEmbedding.A, TestDiscreteLTIEmbedding.B)
+    emb.refresh_control(di_box, reverify=False,
+                        inherited=exact_linear_inclusion(np.array([[-0.4, -1.1]]), di_box))
+    M, b = emb._update
+    assert M.shape == (2, 2, 2, 2) and b.shape == (2, 2)
+    for a in (M, b, emb.A, emb.B):
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(a, 1.0, out=a)
 
 
 class TestDiscreteMapBits:
     """The in-place map writes the bits of the formula, whatever the size.
 
     ``n = 17`` is a size where a single stacked ``(2n, n)`` product would
-    differ from the separate products in the last place.
+    differ from the separate products in the last place; the packed
+    ``(2, 2, n, n)`` stack of whole matrices does not.
     """
 
+    SIZES = list(range(1, 25)) + [32]
+    # finite endpoints whose bits are easy to get wrong: signed zeros, subnormals
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1.0, -3.0])
+
     @staticmethod
-    def random_map(rng, n):
+    def random_map(rng, n, inactive=False):
+        """A map relaxed over a random box; with ``inactive`` every ReLU is off on it."""
         p = int(rng.integers(1, 4))
         A = rng.normal(0.0, 0.6 / math.sqrt(n), size=(n, n))
         B = rng.normal(0.0, 1.0, size=(n, p))
-        net = random_relu_network(rng, n_in=n, n_out=p, depth=int(rng.integers(1, 4)))
-        box = random_box(rng, n)
+        if inactive:
+            h = int(rng.integers(1, 6))
+            net = MLPNetwork([(rng.normal(size=(h, n)), np.full(h, -1e3), "relu"),
+                              (rng.normal(size=(p, h)), rng.normal(size=p), "identity")])
+        else:
+            net = random_relu_network(rng, n_in=n, n_out=p, depth=int(rng.integers(1, 4)))
+        box = random_box(rng, n)  # widened to hold every SPECIAL-valued box
+        box = IntervalVector(np.minimum(box.lo, -3.0), np.maximum(box.hi, 1.0))
         emb = DiscreteLTIEmbedding(A, B)
         emb.refresh_control(box, reverify=True, net=net)
         return emb, box
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+    def special_box(self, rng, n):
+        """Ordered ends drawn from ``SPECIAL``, degenerate (``lo == hi``) on some axes."""
+        lo, hi = np.sort(rng.choice(self.SPECIAL, size=(2, n)), axis=0)
+        same = rng.random(n) < 0.5
+        hi[same] = lo[same]
+        return lo, hi
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_integrate_and_step_match_the_formula(self, n):
         rng = np.random.default_rng(100 + n)
-        for _ in range(25):
-            emb, box = self.random_map(rng, n)
+        for k in range(8):
+            inactive = k % 4 == 3
+            emb, box = self.random_map(rng, n, inactive=inactive)
+            if inactive:  # no ReLU is on over the box: the relaxation has C = 0
+                lb = emb.incl.bounds
+                assert not lb.C_lo.any() and not lb.C_hi.any()
+            inner_lo = box.lo + rng.uniform(0.0, 0.5, n) * box.width
+            inner_hi = box.hi - rng.uniform(0.0, 0.5, n) * box.width
+            point = rng.choice(self.SPECIAL, size=n)
+            # boxes inside the relaxed one: itself, a random one, and
+            # special-valued ones with lo == hi on every axis and on some axes
+            boxes = [(box.lo, box.hi), (inner_lo, inner_hi), (point, point.copy()),
+                     self.special_box(rng, n)]
             steps = int(rng.integers(1, 6))
-            want = [(box.lo, box.hi)]
-            for _ in range(steps):
-                want.append(reference_lti_step(emb, *want[-1]))
-            traj = emb.integrate(box.lo, box.hi, 1.0, steps)
-            assert traj.tobytes() == np.array(want).tobytes()
-            # step on random ordered boxes inside and outside the relaxed one
-            inner = random_box(rng, n)
-            for lo, hi in ((box.lo, box.hi), (inner.lo, inner.hi)):
+            for lo, hi in boxes:
+                want = [(lo, hi)]
+                for _ in range(steps):
+                    want.append(reference_lti_step(emb, *want[-1]))
+                traj = emb.integrate(lo, hi, 1.0, steps)
+                assert traj.tobytes() == np.array(want).tobytes()
                 got = emb.step(lo, hi)
-                ref = reference_lti_step(emb, lo, hi)
-                assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want[1]]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 32])
+    def test_leaf_stack_gets_the_per_leaf_bits(self, n):
+        """The packed ``M`` against an ``(L, 2, 1, n, 1)`` stack of leaf states
+        gives every leaf the bits of its own step (what a leaf-batched round
+        would compute)."""
+        rng = np.random.default_rng(300 + n)
+        emb, box = self.random_map(rng, n)
+        M, b = emb._update
+        L = 9
+        states = np.empty((L, 2, n))
+        for leaf in states[:-1]:
+            inner = random_box(rng, n)
+            leaf[0], leaf[1] = inner.lo, inner.hi
+        states[-1] = self.special_box(rng, n)
+        prod = np.matmul(M, states.reshape(L, 2, 1, n, 1))[..., 0]
+        stacked = prod[:, 0] + prod[:, 1] + b
+        for leaf, got in zip(states, stacked):
+            assert got.tobytes() == np.concatenate(emb.step(*leaf)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 17])
     def test_crossed_start_raises(self, n):

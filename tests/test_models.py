@@ -7,6 +7,7 @@ from nncreach import (
     AlgorithmParams,
     ContainmentReport,
     ContinuousClosedLoopModel,
+    DiscreteLTIEmbedding,
     DiscreteLTIModel,
     DoubleIntegratorSystem,
     IntervalVector,
@@ -185,6 +186,28 @@ class TestDiscreteLTIModel:
         for pair in ((np.zeros(1), np.ones(1)), IntervalVector(np.zeros(2), np.ones(2))):
             with pytest.raises(ValueError, match="disturbance pair must have dimension 0"):
                 DiscreteLTIModel(di.A, di.B, di_net, 3, w_box=pair)
+
+    def test_later_writes_to_the_callers_arrays_reach_nothing(self, di_net, di_box):
+        di = DoubleIntegratorSystem()
+        A, B = di.A.copy(), di.B.copy()
+        model = DiscreteLTIModel(A, B, di_net, horizon_steps=3)
+        emb = DiscreteLTIEmbedding(A, B)
+        A[0, 1] = -3.0  # after the map was built from them
+        B[1, 0] = 7.0
+        assert A.flags.writeable and B.flags.writeable
+        pristine = DiscreteLTIModel(di.A, di.B, di_net, horizon_steps=3)
+        x, xh = di_box.lo, di_box.hi
+        u, uh = np.array([-0.5]), np.array([0.5])
+        for got in (emb, model.make_embedding()):
+            want = pristine.make_embedding()
+            assert got.d(x, xh, u, uh).tobytes() == want.d(x, xh, u, uh).tobytes()
+            for e in (got, want):
+                e.refresh_control(di_box, reverify=True, net=di_net)
+            assert np.concatenate(got.step(x, xh)).tobytes() == \
+                np.concatenate(want.step(x, xh)).tobytes()
+        points = np.array([x, xh, (x + xh) / 2])
+        assert next(model.simulate_interval(points, 0, None)).tobytes() == \
+            next(pristine.simulate_interval(points, 0, None)).tobytes()
 
 
 class TestSampleTrajectories:
