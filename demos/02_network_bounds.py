@@ -35,7 +35,7 @@ def main():
     ib = ibp_bounds(net, box)
     lb = crown_bounds(net, box)
     incl = make_inclusion(lb)
-    out = incl.output_box(box)
+    out = IntervalVector(*incl(box.lo, box.hi))
 
     print()
     print(f"interval propagation:  [{ib.lo[0]:+.4f}, {ib.hi[0]:+.4f}]  "
@@ -53,7 +53,7 @@ def main():
     print("Evaluating the same relaxation on each quadrant (no new network")
     print("work, just endpoint arithmetic):")
     for k, kid in enumerate(uniform_divide(box)):
-        sub = incl.output_box(kid)
+        sub = IntervalVector(*incl(kid.lo, kid.hi))
         print(f"  quadrant {k}: [{sub.lo[0]:+.4f}, {sub.hi[0]:+.4f}] "
               f"width {sub.width[0]:.4f}")
 

@@ -202,10 +202,6 @@ class InclusionFunction:
         hi = hi_in @ self._Chp.T + lo_in @ self._Chn.T + self.bounds.d_hi
         return lo, hi
 
-    def output_box(self, box: IntervalVector) -> IntervalVector:
-        lo, hi = self(box.lo, box.hi)
-        return IntervalVector(lo, hi)
-
     def state_lipschitz_inf(self) -> float:
         """Induced max-norm bound of the (affine) pair map's Jacobian."""
         rows_lo = np.abs(self.bounds.C_lo).sum(axis=1)

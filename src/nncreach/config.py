@@ -99,10 +99,10 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
-def _float_list(values, where: str, parse=_as_float) -> list[float]:
+def _float_list(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise ConfigError(f"{where}: expected a list of numbers")
-    return [parse(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    return [_as_float(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 @dataclass
@@ -113,6 +113,7 @@ class ExperimentConfig:
     initial_hi: list[float]
     dt: float
     horizon: float
+    control_period: float
     eps: list[float]
     gamma: float = 1.0
     depth_max: int = 0
@@ -121,8 +122,6 @@ class ExperimentConfig:
     system_params: dict = field(default_factory=dict)
     disturbance_lo: list[float] = field(default_factory=list)
     disturbance_hi: list[float] = field(default_factory=list)
-    control_period: float | None = None
-    control_instants: list[float] | None = None
     seed: int = 0
     mc_trajectories: int = 200
     output_dir: str = "out"
@@ -168,16 +167,10 @@ class ExperimentConfig:
         if len(dlo) != len(dhi):
             raise ConfigError("config.disturbance: lo and hi lengths differ")
 
-        control = _as_object(data.get("control", {}), "config.control",
-                             ("period", "instants"))
-        period = control.get("period")
-        instants = control.get("instants")
-        if period is not None:
-            period = _as_finite(period, "config.control.period")
-        if instants is not None:
-            instants = _float_list(instants, "config.control.instants", _as_finite)
-        if period is None and instants is None:
-            raise ConfigError("config.control: give a period or explicit instants")
+        control = _as_object(_need(data, "control", "config"), "config.control",
+                             ("period",))
+        period = _as_finite(_need(control, "period", "config.control"),
+                            "config.control.period")
 
         dt = _as_finite(_need(data, "dt", "config"), "config.dt")
         horizon = _as_finite(_need(data, "horizon", "config"), "config.horizon")
@@ -202,8 +195,6 @@ class ExperimentConfig:
         if depth_max < 0 or nn_depth_max < 0:
             raise ConfigError("config.algorithm: depth budgets must be non-negative")
         mode = alg.get("mode", "adaptive")
-        if mode == "non-adaptive-uniform":
-            mode = "uniform"
         if mode not in ("adaptive", "uniform"):
             raise ConfigError(
                 f"config.algorithm.mode must be 'adaptive' or 'uniform', got {mode!r}"
@@ -227,7 +218,6 @@ class ExperimentConfig:
             disturbance_lo=dlo,
             disturbance_hi=dhi,
             control_period=period,
-            control_instants=instants,
             dt=dt,
             horizon=horizon,
             eps=eps,
@@ -322,8 +312,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     try:
         model = system.build_model(
             net, horizon=cfg.horizon, dt=cfg.dt,
-            control_period=cfg.control_period,
-            control_instants=cfg.control_instants, w_box=w_box,
+            control_period=cfg.control_period, w_box=w_box,
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from None

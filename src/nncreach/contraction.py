@@ -298,14 +298,13 @@ def diagnose(exp, tube) -> dict:
     _, center_traj = sample_trajectories(exp.model, IntervalVector(center, center),
                                          1, cfg.seed)
     ref = center_traj[0]
-    t0 = float(tube.times[0])
     curve = []
     for k, t in enumerate(tube.times):
         hull = tube.hull_at(k)
         empirical = max(float(np.max(np.abs(hull.lo - ref[k]))),
                         float(np.max(np.abs(hull.hi - ref[k]))))
         curve.append({"t": float(t), "empirical": empirical,
-                      "bound": error_bound(est, float(t) - t0, init_err, nn_err, w_err)})
+                      "bound": error_bound(est, float(t), init_err, nn_err, w_err)})
     return {
         "schema": 1, "c_x_estimate": est.c_x, "c_x_open_estimate": est.c_x_open,
         "l_u_estimate": est.l_u, "l_w_estimate": est.l_w, "lip_inf": est.lip_inf,

@@ -168,15 +168,13 @@ class OpenLoopSystem:
         tag = self.name or "anonymous"
         return f"OpenLoopSystem({tag}, n={self.n}, p={self.p}, q={self.q})"
 
-    def build_model(self, net, horizon: float, dt: float, control_period=None,
-                    control_instants=None, w_box=None):
+    def build_model(self, net, horizon: float, dt: float, control_period: float,
+                    w_box=None):
         """Sampled-data loop of this plant with controller ``net``, Euler-integrated."""
         from .partition import ContinuousClosedLoopModel  # partition imports this module
 
         return ContinuousClosedLoopModel(self, net, horizon=horizon, dt=dt,
-                                         control_period=control_period,
-                                         control_instants=control_instants,
-                                         w_box=w_box)
+                                         control_period=control_period, w_box=w_box)
 
     def open_field(self, a, b, ulo, uhi, wlo, whi) -> np.ndarray:
         """Open-loop embedding field ``(d(a,b,u,uh,w,wh), d(b,a,uh,u,wh,w))``.
@@ -462,9 +460,8 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     whole matrices, so each ``(n, n)`` item is its own matrix-vector
     product with the bits of ``Mlp @ lo``; stacking matrix rows into one
     ``(2n, n)`` product instead can differ in the last place (it does at
-    ``n = 17``).  :meth:`step` and ``integrate`` check the start once,
-    ``integrate`` its states after every step, and the map itself checks
-    nothing.
+    ``n = 17``).  ``integrate`` checks the start once and its states after
+    every step; the map itself checks nothing.
     """
 
     q = 0
@@ -525,15 +522,6 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         n = state.shape[0] // 2
         if (state[:n] > state[n:]).any():
             raise EmbeddingOrderError("discrete embedding step requires an ordered state")
-
-    def step(self, lo, hi):
-        """One map step from the ordered pair ``lo <= hi``; returns ``(lo+, hi+)``."""
-        state = np.concatenate((lo, hi), dtype=float)
-        self._check_start(state)
-        out = np.empty_like(state)
-        self._step_into(state, out, 1.0)
-        n = state.shape[0] // 2
-        return out[:n], out[n:]
 
     def _step_into(self, cur, out, dt):
         """The map, unchecked and in place; the sums run left to right."""

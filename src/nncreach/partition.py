@@ -198,58 +198,54 @@ class ReachTube:
 # Closed-loop models: package system + controller + time structure so the
 # engine can stay agnostic of continuous vs discrete integration.
 
-def _build_instants(horizon, control_period, control_instants):
-    if control_instants is not None:
-        inst = [float(t) for t in control_instants]
-        if len(inst) < 2 or any(b - a <= 0 for a, b in zip(inst, inst[1:])):
-            raise ValueError("control instants must be strictly increasing")
-        if inst[-1] < horizon - _GRID_TOL:
-            raise ValueError("control instants must reach the final time")
-        return inst
-    if control_period is None or control_period <= 0:
-        raise ValueError("a positive control period or explicit instants are required")
-    m = max(1, math.ceil(horizon / control_period - _GRID_TOL))
-    return [float(j * control_period) for j in range(m + 1)]
+class _ControlGrid:
+    """The control time grid of a closed-loop model, from t = 0.
 
+    ``num_intervals`` control intervals of one ``period`` each, the last
+    ending at the smallest multiple of the period at or beyond the
+    horizon, and ``interval_steps`` steps of ``dt`` per interval; ``dt``
+    must divide the period.  ``instants`` are the interval ends and
+    ``times`` the step ends, from 0.
+    """
 
-class ContinuousClosedLoopModel:
-    """Sampled-data neural-network loop integrated with fixed-step Euler."""
-
-    def __init__(self, sys: OpenLoopSystem, net, horizon: float, dt: float,
-                 control_period: float | None = None,
-                 control_instants=None, w_box=None):
+    def __init__(self, horizon: float, dt: float, period: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         if horizon <= 0:
-            raise ValueError("final time must exceed the initial time")
+            raise ValueError("horizon must be positive")
+        if period <= 0:
+            raise ValueError("the control period must be positive")
+        m = max(1, math.ceil(horizon / period - _GRID_TOL))
+        self._steps = int(round(period / dt))
+        # a period within _GRID_TOL of 0 rounds to 0 steps and would pass the tolerance
+        if self._steps < 1 or abs(period - self._steps * dt) > _GRID_TOL:
+            raise ValueError(f"dt={dt} does not divide the control period {period}")
+        self.dt = float(dt)
+        self.instants = [float(j * period) for j in range(m + 1)]
+        self.times = self.dt * np.arange(m * self._steps + 1)
+
+    @property
+    def num_intervals(self) -> int:
+        return len(self.instants) - 1
+
+    def interval_steps(self, j: int) -> int:
+        return self._steps
+
+
+class ContinuousClosedLoopModel(_ControlGrid):
+    """Sampled-data neural-network loop integrated with fixed-step Euler."""
+
+    def __init__(self, sys: OpenLoopSystem, net, horizon: float, dt: float,
+                 control_period: float, w_box=None):
+        super().__init__(horizon, dt, control_period)
         self.sys = sys
         self.net = net
-        self.dt = float(dt)
-        self.instants = _build_instants(horizon, control_period, control_instants)
-        self.t0 = self.instants[0]
-        self._steps = []
-        for a, b in zip(self.instants, self.instants[1:]):
-            s = (b - a) / dt
-            if abs((b - a) - round(s) * dt) > _GRID_TOL:
-                raise ValueError(
-                    f"dt={dt} does not divide the control interval [{a}, {b}]"
-                )
-            self._steps.append(int(round(s)))
-        total = sum(self._steps)
-        self.times = self.t0 + self.dt * np.arange(total + 1)
         self.w_box = w_box
         self._w_lo, self._w_hi = _require_pair(w_box, sys.q, "disturbance")
 
     @property
     def n(self) -> int:
         return self.sys.n
-
-    @property
-    def num_intervals(self) -> int:
-        return len(self._steps)
-
-    def interval_steps(self, j: int) -> int:
-        return self._steps[j - 1]
 
     def verify(self, box: IntervalVector) -> InclusionFunction:
         return make_inclusion(crown_bounds(self.net, box))
@@ -278,33 +274,24 @@ class ContinuousClosedLoopModel:
             yield x
 
 
-class DiscreteLTIModel:
+class DiscreteLTIModel(_ControlGrid):
     """Discrete-time linear loop; one control update per map step."""
 
     def __init__(self, A, B, net, horizon_steps: int, w_box=None):
         _require_pair(w_box, 0, "disturbance")  # the map takes no disturbance
         if horizon_steps < 1:
             raise ValueError("need at least one step")
+        super().__init__(horizon_steps, 1.0, 1.0)
         # copies, so that freezing them leaves the caller's arrays writable
         self.A = np.array(A, dtype=float)
         self.B = np.array(B, dtype=float)
         self.A.setflags(write=False)
         self.B.setflags(write=False)
         self.net = net
-        self.dt = 1.0
-        self.times = np.arange(horizon_steps + 1, dtype=float)
-        self.instants = list(self.times)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def num_intervals(self) -> int:
-        return len(self.times) - 1
-
-    def interval_steps(self, j: int) -> int:
-        return 1
 
     def verify(self, box: IntervalVector) -> InclusionFunction:
         return make_inclusion(crown_bounds(self.net, box))
@@ -411,8 +398,8 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
                           model) -> ReachTube:
     """Run the adaptive (or uniform) partitioning loop over all intervals.
 
-    Returns the concatenated reach tube from the initial time to the
-    smallest control instant at or beyond the final time.
+    Returns the concatenated reach tube from t = 0 to the smallest
+    control instant at or beyond the horizon.
     """
     if root_box.n != model.n:
         raise ValueError(

@@ -136,11 +136,10 @@ class VehicleSystem:
         return OpenLoopSystem(self.n, self.p, self.q, self.f, extension=self.extension,
                               prepare=self.prepare, name="vehicle")
 
-    def build_model(self, net, horizon: float, dt: float, control_period=None,
-                    control_instants=None, w_box=None):
+    def build_model(self, net, horizon: float, dt: float, control_period: float,
+                    w_box=None):
         """Sampled-data loop of the open-loop vehicle with controller ``net``."""
-        return self.open_loop().build_model(net, horizon, dt, control_period,
-                                            control_instants, w_box)
+        return self.open_loop().build_model(net, horizon, dt, control_period, w_box)
 
 
 class DoubleIntegratorSystem:
@@ -169,17 +168,17 @@ class DoubleIntegratorSystem:
         d = DiscreteLTIEmbedding(self.A, self.B).d
         return OpenLoopSystem(self.n, self.p, self.q, self.f, d=d, name="double-integrator")
 
-    def build_model(self, net, horizon: float, dt: float, control_period=None,
-                    control_instants=None, w_box=None) -> DiscreteLTIModel:
+    def build_model(self, net, horizon: float, dt: float, control_period: float,
+                    w_box=None) -> DiscreteLTIModel:
         """Discrete loop with one control update per unit map step.
 
         The map has a fixed unit step, so ``dt`` and the control period
-        must both be 1 and explicit control instants are rejected.
+        must both be 1.
         """
-        if dt != 1 or control_period != 1 or control_instants is not None:
+        if dt != 1 or control_period != 1:
             raise ValueError(
                 "the double integrator needs dt = 1 and control period 1 "
-                f"(got dt={dt}, period={control_period}, instants={control_instants})"
+                f"(got dt={dt}, period={control_period})"
             )
         if abs(horizon - round(horizon)) > 1e-9:
             raise ValueError("horizon must be a whole number of steps")
@@ -194,13 +193,16 @@ def affine_system(A, B=None, D=None, const=None, name: str = "affine") -> OpenLo
     single vectors or ``(m, ·)`` row stacks; each row gets the bits of the
     single-vector products.
     """
-    A = np.asarray(A, dtype=float)
+    # copies, so that later writes to the caller's arrays reach neither f nor d
+    A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("A must be square")
-    B = np.zeros((n, 0)) if B is None else np.asarray(B, dtype=float).reshape(n, -1)
-    D = np.zeros((n, 0)) if D is None else np.asarray(D, dtype=float).reshape(n, -1)
-    c = np.zeros(n) if const is None else np.asarray(const, dtype=float)
+    B = np.zeros((n, 0)) if B is None else np.array(B, dtype=float).reshape(n, -1)
+    D = np.zeros((n, 0)) if D is None else np.array(D, dtype=float).reshape(n, -1)
+    c = np.zeros(n) if const is None else np.array(const, dtype=float)
+    for a in (A, B, D, c):
+        a.setflags(write=False)
 
     diag = np.diag(np.diag(A))
     off = A - diag

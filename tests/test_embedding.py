@@ -563,7 +563,7 @@ class TestDiscreteLTIEmbedding:
                             inherited=exact_linear_inclusion(K, box))
         M = self.A + self.B @ K
         assert np.all(M >= 0)
-        lo, hi = emb.step(box.lo, box.hi)
+        lo, hi = emb.integrate(box.lo, box.hi, 1.0, 1)[1]
         assert np.allclose(lo, M @ box.lo, atol=1e-12)
         assert np.allclose(hi, M @ box.hi, atol=1e-12)
 
@@ -574,7 +574,7 @@ class TestDiscreteLTIEmbedding:
         emb = DiscreteLTIEmbedding(self.A, self.B)
         emb.refresh_control(box, reverify=False,
                             inherited=exact_linear_inclusion(K, box))
-        lo, hi = emb.step(x, x)
+        lo, hi = emb.integrate(x, x, 1.0, 1)[1]
         want = self.A @ x + self.B @ (K @ x)
         assert np.allclose(lo, want, atol=1e-12)
         assert np.allclose(hi, want, atol=1e-12)
@@ -583,14 +583,12 @@ class TestDiscreteLTIEmbedding:
         emb = DiscreteLTIEmbedding(self.A, self.B)
         net = zero_network(2, 1)
         emb.refresh_control(di_box, reverify=True, net=net)
-        lo, hi = emb.step(di_box.lo, di_box.hi)
+        lo, hi = emb.integrate(di_box.lo, di_box.hi, 1.0, 1)[1]
         assert np.allclose(lo, [2.25, -0.25])
         assert np.allclose(hi, [3.25, 0.25])
 
     def test_step_before_refresh_errors(self):
         emb = DiscreteLTIEmbedding(self.A, self.B)
-        with pytest.raises(RuntimeError, match="not initialized"):
-            emb.step(np.zeros(2), np.ones(2))
         with pytest.raises(RuntimeError, match="not initialized"):
             emb.integrate(np.zeros(2), np.ones(2), 1.0, 2)
 
@@ -600,7 +598,7 @@ class TestDiscreteLTIEmbedding:
         emb.refresh_control(box, reverify=False,
                             inherited=exact_linear_inclusion(np.array([[0.0, 0.0]]), box))
         with pytest.raises(EmbeddingOrderError):
-            emb.step(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+            emb.integrate(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 1.0, 1)
 
 
 def reference_lti_step(emb, lo, hi):
@@ -683,14 +681,15 @@ class TestDiscreteMapBits:
                     want.append(reference_lti_step(emb, *want[-1]))
                 traj = emb.integrate(lo, hi, 1.0, steps)
                 assert traj.tobytes() == np.array(want).tobytes()
-                got = emb.step(lo, hi)
-                assert [v.tobytes() for v in got] == [v.tobytes() for v in want[1]]
+                got = np.empty(2 * n)  # the unchecked map, on its own
+                emb._step_into(np.concatenate((lo, hi)), got, 1.0)
+                assert got.tobytes() == np.concatenate(want[1]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 32])
     def test_leaf_stack_gets_the_per_leaf_bits(self, n):
         """The packed ``M`` against an ``(L, 2, 1, n, 1)`` stack of leaf states
-        gives every leaf the bits of its own step (what a leaf-batched round
-        would compute)."""
+        gives every leaf the bits of its own map step (what a leaf-batched
+        round would compute)."""
         rng = np.random.default_rng(300 + n)
         emb, box = self.random_map(rng, n)
         M, b = emb._update
@@ -703,17 +702,18 @@ class TestDiscreteMapBits:
         prod = np.matmul(M, states.reshape(L, 2, 1, n, 1))[..., 0]
         stacked = prod[:, 0] + prod[:, 1] + b
         for leaf, got in zip(states, stacked):
-            assert got.tobytes() == np.concatenate(emb.step(*leaf)).tobytes()
+            want = np.empty(2 * n)
+            emb._step_into(leaf.ravel(), want, 1.0)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 17])
     def test_crossed_start_raises(self, n):
         emb, box = self.random_map(np.random.default_rng(n), n)
         lo, hi = box.lo.copy(), box.hi.copy()
         lo[n // 2] = hi[n // 2] + 1e-12
-        with pytest.raises(EmbeddingOrderError, match="ordered state"):
-            emb.step(lo, hi)
-        with pytest.raises(EmbeddingOrderError, match="ordered state"):
-            emb.integrate(lo, hi, 1.0, 3)
+        for steps in (1, 3):
+            with pytest.raises(EmbeddingOrderError, match="ordered state"):
+                emb.integrate(lo, hi, 1.0, steps)
 
 
 class TestRefreshDomainCheck:

@@ -14,6 +14,7 @@ from nncreach import (
     ReachTube,
     ToleranceVector,
     VehicleSystem,
+    affine_system,
     compute_reachable_set,
     config,
     containment_check,
@@ -203,11 +204,31 @@ class TestDiscreteLTIModel:
             assert got.d(x, xh, u, uh).tobytes() == want.d(x, xh, u, uh).tobytes()
             for e in (got, want):
                 e.refresh_control(di_box, reverify=True, net=di_net)
-            assert np.concatenate(got.step(x, xh)).tobytes() == \
-                np.concatenate(want.step(x, xh)).tobytes()
+            assert got.integrate(x, xh, 1.0, 1).tobytes() == \
+                want.integrate(x, xh, 1.0, 1).tobytes()
         points = np.array([x, xh, (x + xh) / 2])
         assert next(model.simulate_interval(points, 0, None)).tobytes() == \
             next(pristine.simulate_interval(points, 0, None)).tobytes()
+
+
+def test_affine_system_keeps_its_own_copies():
+    """``f`` (what the audit samples) and ``d`` (what the reach uses) are one
+    plant: later writes to the caller's arrays reach neither."""
+    x, u, w = np.array([1.0, 2.0]), np.array([0.5]), np.array([0.75])
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    plant = affine_system(A, B)
+    A[0, 1] = -3.0
+    assert plant.f(x, u).tolist() == plant.d(x, x, u, u, None, None).tolist() == [2.0, 0.5]
+
+    arrays = [np.array([[-1.0, 1.0], [0.5, -2.0]]), np.array([[0.0], [1.0]]),
+              np.array([[1.0], [-2.0]]), np.array([0.25, -0.5])]
+    pristine = affine_system(*(a.copy() for a in arrays))
+    plant = affine_system(*arrays)
+    for a in arrays:
+        a[0] = -3.0
+        assert a.flags.writeable
+    assert plant.f(x, u, w).tobytes() == pristine.f(x, u, w).tobytes()
+    assert plant.d(x, x, u, u, w, w).tobytes() == pristine.d(x, x, u, u, w, w).tobytes()
 
 
 class TestSampleTrajectories:

@@ -328,6 +328,93 @@ class TestDeterminism:
             assert np.array_equal(a, b)
 
 
+def reference_continuous_grid(horizon, dt, period):
+    """Oracle of the continuous grid, built interval by interval: instants
+    ``j * period``, then each interval's step count and divisibility check
+    from that interval's own length.  Returns ``(instants, steps, times)``."""
+    m = max(1, math.ceil(horizon / period - 1e-9))
+    instants = [float(j * period) for j in range(m + 1)]
+    steps = []
+    for a, b in zip(instants, instants[1:]):
+        s = (b - a) / dt
+        if abs((b - a) - round(s) * dt) > 1e-9:
+            raise ValueError(f"dt={dt} does not divide the control interval [{a}, {b}]")
+        steps.append(int(round(s)))
+    times = instants[0] + float(dt) * np.arange(sum(steps) + 1)
+    return instants, steps, times
+
+
+def reference_discrete_grid(horizon_steps):
+    """Oracle of the discrete grid: one unit step per interval."""
+    times = np.arange(horizon_steps + 1, dtype=float)
+    return list(times), [1] * horizon_steps, times
+
+
+def assert_same_grid(model, grid):
+    instants, steps, times = grid
+    assert model.times.tobytes() == times.tobytes()
+    assert model.instants == instants
+    assert model.num_intervals == len(steps)
+    assert [model.interval_steps(j) for j in range(1, len(steps) + 1)] == steps
+
+
+class TestControlGrid:
+    """The one grid both models build has the bits of the oracle grids and
+    rejects the triples the interval-by-interval check rejects."""
+
+    @staticmethod
+    def random_triple(rng):
+        dt = float(rng.choice([0.001, 0.01, 0.02, 0.05, 0.1, 0.25, 1 / 3, 1.0,
+                               10.0 ** rng.uniform(-3.0, 0.0)]))
+        period = int(rng.integers(1, 60)) * dt
+        kind = rng.integers(4)
+        if kind == 1:  # a decimal period, which dt may or may not divide
+            period = round(period, int(rng.integers(1, 4))) or dt
+        elif kind == 2:  # a period just off a multiple of dt
+            period *= 1.0 + float(rng.choice([1e-13, 1e-10, 1e-7, -1e-7]))
+        if rng.random() < 0.3:  # a horizon on the grid
+            horizon = int(rng.integers(1, 40)) * period
+        else:
+            horizon = period * rng.uniform(0.01, 40.0)
+        return horizon, dt, period
+
+    def test_random_triples_match_the_reference_grid(self):
+        rng = np.random.default_rng(2025)
+        sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
+        net = zero_network(1, 1)
+        valid = 0
+        for _ in range(3000):
+            horizon, dt, period = self.random_triple(rng)
+            try:
+                grid = reference_continuous_grid(horizon, dt, period)
+            except ValueError:
+                with pytest.raises(ValueError, match="does not divide"):
+                    ContinuousClosedLoopModel(sys, net, horizon=horizon, dt=dt,
+                                              control_period=period)
+                continue
+            valid += 1
+            model = ContinuousClosedLoopModel(sys, net, horizon=horizon, dt=dt,
+                                              control_period=period)
+            assert_same_grid(model, grid)
+        assert 1500 < valid < 3000  # both kinds were drawn
+
+    @pytest.mark.parametrize("horizon_steps", [1, 2, 5, 17, 200])
+    def test_discrete_grid_matches_the_reference_grid(self, di_net, horizon_steps):
+        assert_same_grid(di_model(di_net, horizon_steps), reference_discrete_grid(horizon_steps))
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_match_the_reference_grid(self, path):
+        from nncreach import config
+
+        cfg = config.ExperimentConfig.load(path)
+        model = config.build_experiment(cfg).model
+        if isinstance(model, DiscreteLTIModel):
+            grid = reference_discrete_grid(int(round(cfg.horizon)))
+        else:
+            grid = reference_continuous_grid(cfg.horizon, cfg.dt, cfg.control_period)
+        assert_same_grid(model, grid)
+
+
 class TestModelValidation:
     def test_dt_must_divide_interval(self):
         sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
@@ -335,21 +422,19 @@ class TestModelValidation:
             ContinuousClosedLoopModel(sys, zero_network(1, 1), horizon=1.0,
                                       dt=0.3, control_period=1.0)
 
+    def test_period_below_dt_rejected(self):
+        # 0 steps per interval would pass the tolerance (period - 0 * dt <= 1e-9)
+        sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="divide"):
+            ContinuousClosedLoopModel(sys, zero_network(1, 1), horizon=1e-9,
+                                      dt=1.0, control_period=5e-10)
+
     def test_final_instant_reaches_past_horizon(self):
         sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
         model = ContinuousClosedLoopModel(sys, zero_network(1, 1), horizon=1.1,
                                           dt=0.05, control_period=0.25)
         assert model.instants[-1] == pytest.approx(1.25)  # smallest instant >= T
         assert model.times[-1] == pytest.approx(1.25)
-
-    def test_explicit_instants_anchor_time_grid(self):
-        sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
-        model = ContinuousClosedLoopModel(sys, zero_network(1, 1), horizon=2.0,
-                                          dt=0.25, control_instants=[1.0, 1.5, 2.0])
-        assert model.t0 == 1.0
-        assert model.times[0] == pytest.approx(1.0)
-        assert model.times[-1] == pytest.approx(2.0)
-        assert [model.interval_steps(j) for j in (1, 2)] == [2, 2]
 
     def test_dimension_mismatch_rejected(self, di_net):
         model = di_model(di_net)
