@@ -321,10 +321,6 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         raise ConfigError(
             f"config.initial_set has dimension {root_box.n}, system state is {model.n}"
         )
-    if net.input_dim != model.n:
-        raise ConfigError(
-            f"network expects inputs of dimension {net.input_dim}, state is {model.n}"
-        )
     if len(cfg.eps) != model.n:
         raise ConfigError(
             f"config.algorithm.eps needs {model.n} entries, got {len(cfg.eps)}"

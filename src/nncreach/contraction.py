@@ -278,7 +278,7 @@ def diagnose(exp, tube) -> dict:
     domain = region_domain(region)
     incl = exp.model.verify(domain)
     emb = exp.model.make_embedding()
-    emb.refresh_control(domain, reverify=False, inherited=incl, interval_index=0)
+    emb.refresh_control(domain, reverify=False, inherited=incl)
     est = estimate_contraction(emb, region)
 
     # network approximation error over the analysis region (sampled)

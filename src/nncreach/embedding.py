@@ -404,7 +404,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
 
         With ``reverify`` the network is re-relaxed over ``box``; otherwise
         ``inherited`` is used, which requires ``box`` to lie inside its
-        domain.  ``interval_index`` is not used.
+        domain.  ``interval_index`` is not read: every control interval
+        has the same grid, and the keyword stays for callers that pass it.
         """
         self.incl = self._control_inclusion(box, reverify, net, inherited)
         n = self.n
@@ -499,7 +500,8 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
         The domain check runs on every refresh; the update is rebuilt only
         when the relaxation differs from the one it was built from.  Its
         arrays are read-only: every leaf stepped under the relaxation
-        reads them.
+        reads them.  ``interval_index`` is not read, as in
+        :meth:`ClosedLoopEmbedding.refresh_control`.
         """
         incl = self._control_inclusion(box, reverify, net, inherited)
         if incl is self.incl:

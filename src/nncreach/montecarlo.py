@@ -40,8 +40,8 @@ def sample_trajectories(model, init_box, count: int, seed: int):
     traj[:, 0] = x
 
     k = 0
-    for j in range(1, model.num_intervals + 1):
-        for x in model.simulate_interval(x, j, rng):
+    for _ in range(model.num_intervals):
+        for x in model.simulate_interval(x, rng):
             k += 1
             traj[:, k] = x
     return times, traj

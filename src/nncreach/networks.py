@@ -93,6 +93,10 @@ class MLPNetwork:
     def input_dim(self) -> int:
         return self.layers[0].in_dim
 
+    @property
+    def output_dim(self) -> int:
+        return self.layers[-1].out_dim
+
     def __call__(self, x) -> np.ndarray:
         """Evaluate the network; accepts a single point or a batch ``(m, n)``."""
         a = np.asarray(x, dtype=float)

@@ -199,16 +199,22 @@ class ReachTube:
 # engine can stay agnostic of continuous vs discrete integration.
 
 class _ControlGrid:
-    """The control time grid of a closed-loop model, from t = 0.
+    """The closed-loop model base: a controller and one control time grid.
 
-    ``num_intervals`` control intervals of one ``period`` each, the last
-    ending at the smallest multiple of the period at or beyond the
-    horizon, and ``interval_steps`` steps of ``dt`` per interval; ``dt``
+    ``net`` maps the plant's ``n`` states to its ``p`` inputs.  The grid
+    from t = 0 has ``num_intervals`` control intervals of one ``period``
+    each, the last ending at the smallest multiple of the period at or
+    beyond the horizon, and ``steps`` steps of ``dt`` per interval; ``dt``
     must divide the period.  ``instants`` are the interval ends and
     ``times`` the step ends, from 0.
     """
 
-    def __init__(self, horizon: float, dt: float, period: float):
+    def __init__(self, n: int, p: int, net, horizon: float, dt: float, period: float):
+        if (net.input_dim, net.output_dim) != (n, p):
+            raise ValueError(
+                f"network maps dimension {net.input_dim} to {net.output_dim}, "
+                f"the plant needs {n} to {p}"
+            )
         if dt <= 0:
             raise ValueError("dt must be positive")
         if horizon <= 0:
@@ -216,20 +222,19 @@ class _ControlGrid:
         if period <= 0:
             raise ValueError("the control period must be positive")
         m = max(1, math.ceil(horizon / period - _GRID_TOL))
-        self._steps = int(round(period / dt))
+        self.steps = int(round(period / dt))
         # a period within _GRID_TOL of 0 rounds to 0 steps and would pass the tolerance
-        if self._steps < 1 or abs(period - self._steps * dt) > _GRID_TOL:
+        if self.steps < 1 or abs(period - self.steps * dt) > _GRID_TOL:
             raise ValueError(f"dt={dt} does not divide the control period {period}")
+        self.n = n
+        self.net = net
         self.dt = float(dt)
         self.instants = [float(j * period) for j in range(m + 1)]
-        self.times = self.dt * np.arange(m * self._steps + 1)
+        self.times = self.dt * np.arange(m * self.steps + 1)
 
     @property
     def num_intervals(self) -> int:
         return len(self.instants) - 1
-
-    def interval_steps(self, j: int) -> int:
-        return self._steps
 
 
 class ContinuousClosedLoopModel(_ControlGrid):
@@ -237,15 +242,10 @@ class ContinuousClosedLoopModel(_ControlGrid):
 
     def __init__(self, sys: OpenLoopSystem, net, horizon: float, dt: float,
                  control_period: float, w_box=None):
-        super().__init__(horizon, dt, control_period)
+        super().__init__(sys.n, sys.p, net, horizon, dt, control_period)
         self.sys = sys
-        self.net = net
         self.w_box = w_box
         self._w_lo, self._w_hi = _require_pair(w_box, sys.q, "disturbance")
-
-    @property
-    def n(self) -> int:
-        return self.sys.n
 
     def verify(self, box: IntervalVector) -> InclusionFunction:
         return make_inclusion(crown_bounds(self.net, box))
@@ -256,8 +256,8 @@ class ContinuousClosedLoopModel(_ControlGrid):
     def advance(self, emb, lo, hi, steps: int) -> np.ndarray:
         return emb.integrate(lo, hi, self.dt, steps)
 
-    def simulate_interval(self, x, j: int, rng):
-        """Yield the sampled states ``(count, n)`` after each step of interval ``j``.
+    def simulate_interval(self, x, rng):
+        """Yield the sampled states ``(count, n)`` after each step of a control interval.
 
         The control is held over the interval; with ``q > 0`` one
         disturbance per trajectory is drawn from ``rng``, uniform on the
@@ -269,29 +269,23 @@ class ContinuousClosedLoopModel(_ControlGrid):
             w = rng.uniform(self._w_lo, self._w_hi, size=(x.shape[0], q))
         else:
             w = np.zeros((x.shape[0], 0))
-        for _ in range(self.interval_steps(j)):
+        for _ in range(self.steps):
             x = x + self.dt * self.sys.f(x, u, w)
             yield x
 
 
 class DiscreteLTIModel(_ControlGrid):
-    """Discrete-time linear loop; one control update per map step."""
+    """Discrete-time linear loop; one control update per map step.
+
+    ``A`` and ``B`` are the read-only copies of a map built (and
+    shape-checked) at construction.
+    """
 
     def __init__(self, A, B, net, horizon_steps: int, w_box=None):
         _require_pair(w_box, 0, "disturbance")  # the map takes no disturbance
-        if horizon_steps < 1:
-            raise ValueError("need at least one step")
-        super().__init__(horizon_steps, 1.0, 1.0)
-        # copies, so that freezing them leaves the caller's arrays writable
-        self.A = np.array(A, dtype=float)
-        self.B = np.array(B, dtype=float)
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
-        self.net = net
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
+        emb = DiscreteLTIEmbedding(A, B)
+        super().__init__(emb.n, emb.p, net, horizon_steps, 1.0, 1.0)
+        self.A, self.B = emb.A, emb.B
 
     def verify(self, box: IntervalVector) -> InclusionFunction:
         return make_inclusion(crown_bounds(self.net, box))
@@ -302,8 +296,8 @@ class DiscreteLTIModel(_ControlGrid):
     def advance(self, emb, lo, hi, steps: int) -> np.ndarray:
         return emb.integrate(lo, hi, self.dt, steps)
 
-    def simulate_interval(self, x, j: int, rng):
-        """Yield the sampled states ``(count, n)`` after the one map step of interval ``j``."""
+    def simulate_interval(self, x, rng):
+        """Yield the sampled states ``(count, n)`` after the interval's one map step."""
         u = self.net(x)
         yield x @ self.A.T + u @ self.B.T
 
@@ -331,9 +325,8 @@ def _predicate_fires(w0: float, w_probe: float, inv_gamma_eff: float) -> bool:
     return inv_gamma_eff * math.log(w_probe / w0) + math.log(w0) > 0.0
 
 
-def _step_interval(ends, boxes: list, paths: list, j: int, params: AlgorithmParams,
-                   model):
-    """Advance the frontier across control interval ``j``.
+def _step_interval(ends, boxes: list, paths: list, params: AlgorithmParams, model):
+    """Advance the frontier across one control interval.
 
     The frontier is the leaves' ``(L, 2, n)`` endpoint array ``ends``, their
     boxes (with the same endpoints) and their paths, all in tree order.
@@ -342,7 +335,7 @@ def _step_interval(ends, boxes: list, paths: list, j: int, params: AlgorithmPara
     """
     nn = min(params.nn_depth_max, params.depth_max)
     eps = params.eps
-    steps = model.interval_steps(j)
+    steps = model.steps
     probe_steps = _probe_steps(params.gamma, steps)
     trajs, out_paths = [], []
     nn_calls = subdivisions = 0
@@ -362,7 +355,7 @@ def _step_interval(ends, boxes: list, paths: list, j: int, params: AlgorithmPara
             if eff is None:
                 eff = model.verify(box)
                 nn_calls += 1
-            emb.refresh_control(box, reverify=False, inherited=eff, interval_index=j)
+            emb.refresh_control(box, reverify=False, inherited=eff)
             probing = len(path) < params.depth_max
             k = probe_steps if probing else steps
             traj = model.advance(emb, box.lo, box.hi, k)
@@ -407,10 +400,8 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
         )
     if params.eps.n != model.n:
         raise ValueError("eps must have one entry per state dimension")
-    if params.mode == "uniform":
-        leaves = _build_uniform_tree(root_box, params.depth_max)
-    else:
-        leaves = [(root_box, ())]
+    depth = params.depth_max if params.mode == "uniform" else 0
+    leaves = _build_uniform_tree(root_box, depth)
     boxes = [box for box, _ in leaves]
     paths = [path for _, path in leaves]
     ends = np.stack([box.as_array() for box in boxes])
@@ -418,8 +409,7 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
     tube = [root_box.as_array()[None, :, :]]
     stats = []
     for j in range(1, model.num_intervals + 1):
-        trajs, paths, nn_calls, subdivisions = _step_interval(ends, boxes, paths, j,
-                                                              params, model)
+        trajs, paths, nn_calls, subdivisions = _step_interval(ends, boxes, paths, params, model)
         stacked = np.stack(trajs, axis=1)
         tube.extend(stacked[1:])
         # the successor frontier: the last row, validated once

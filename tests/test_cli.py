@@ -23,7 +23,7 @@ from nncreach.config import (
     run_experiment,
 )
 
-from conftest import CONFIGS, NETWORKS, awkward_floats, per_line_csv
+from conftest import CONFIGS, NETWORKS, awkward_floats, per_line_csv, zero_network
 
 
 def di_config_dict(**overrides):
@@ -379,6 +379,24 @@ class TestCommandLine:
                          "--out", str(tmp_path / "o"),
                          "--set", f"network={json.dumps(str(tmp_path / 'tanh.json'))}"]) == 1
         assert "does not support activation 'tanh'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, dims, overrides", [
+        # one output broadcast onto the vehicle's two inputs: a wrong tube,
+        # and an IndexError in the plant's field once trajectories are sampled
+        ("reach", "vehicle_adaptive_d2n1", (4, 1), ["horizon=0.25"]),
+        ("mc", "vehicle_adaptive_d2n1", (4, 1), ["horizon=0.25"]),
+        # two outputs against the double integrator's one input
+        ("reach", "di_adaptive_d3n1", (2, 2), []),
+    ])
+    def test_mismatched_controller_exits_as_config_error(self, tmp_path, capsys, command,
+                                                         name, dims, overrides):
+        path = tmp_path / "net.json"
+        zero_network(*dims).save(path)
+        sets = [f"network={json.dumps(str(path))}", *overrides]
+        assert cli.main([command, "--config", str(CONFIGS / f"{name}.json"),
+                         "--out", str(tmp_path / "o"), "--reps", "5",
+                         *(arg for s in sets for arg in ("--set", s))]) == 1
+        assert "config error: config: network maps dimension" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_network_weight_exits_as_config_error(self, tmp_path, capsys, bad):

@@ -180,6 +180,13 @@ class TestRegistry:
 
 
 class TestDiscreteLTIModel:
+    def test_matrix_shapes_are_checked_at_construction(self, di_net):
+        di = DoubleIntegratorSystem()
+        with pytest.raises(ValueError, match="A must be square"):
+            DiscreteLTIModel(np.ones((2, 3)), di.B, di_net, 3)
+        with pytest.raises(ValueError, match="B must be n x p"):
+            DiscreteLTIModel(di.A, np.ones((3, 1)), di_net, 3)
+
     def test_disturbance_must_be_empty(self, di_net):
         di = DoubleIntegratorSystem()
         for empty in ((np.zeros(0), np.zeros(0)), IntervalVector(np.zeros(0), np.zeros(0))):
@@ -207,8 +214,17 @@ class TestDiscreteLTIModel:
             assert got.integrate(x, xh, 1.0, 1).tobytes() == \
                 want.integrate(x, xh, 1.0, 1).tobytes()
         points = np.array([x, xh, (x + xh) / 2])
-        assert next(model.simulate_interval(points, 0, None)).tobytes() == \
-            next(pristine.simulate_interval(points, 0, None)).tobytes()
+        assert next(model.simulate_interval(points, None)).tobytes() == \
+            next(pristine.simulate_interval(points, None)).tobytes()
+
+
+@pytest.mark.parametrize("system, dims", [
+    (DoubleIntegratorSystem(), (2, 2)), (DoubleIntegratorSystem(), (3, 1)),
+    (VehicleSystem(), (4, 1)), (VehicleSystem(), (2, 2))])
+def test_controller_size_is_checked_at_construction(system, dims):
+    with pytest.raises(ValueError, match=f"network maps dimension {dims[0]} to {dims[1]}, "
+                                         f"the plant needs {system.n} to {system.p}$"):
+        system.build_model(zero_network(*dims), horizon=1, dt=1, control_period=1)
 
 
 def test_affine_system_keeps_its_own_copies():

@@ -355,7 +355,7 @@ def assert_same_grid(model, grid):
     assert model.times.tobytes() == times.tobytes()
     assert model.instants == instants
     assert model.num_intervals == len(steps)
-    assert [model.interval_steps(j) for j in range(1, len(steps) + 1)] == steps
+    assert [model.steps] * model.num_intervals == steps
 
 
 class TestControlGrid:

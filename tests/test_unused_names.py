@@ -62,3 +62,50 @@ def test_every_module_level_name_is_read(module):
               if not (name.startswith("__") and name.endswith("__"))
               and name not in exported and name not in reads]
     assert not unused, f"module-level names read nowhere in the package: {unused}"
+
+
+# Parameters that no function of their name reads, each kept on purpose.
+UNREAD_PARAMETERS = {
+    ("refresh_control", "interval_index"):
+        "every control interval has the same grid; the keyword stays because "
+        "the acceptance tests (criterion 7) and perfbench/run.py pass it",
+    ("prepare", "Wlo"):
+        "part of the plug-in prepare(Ulo, Uhi, Wlo, Whi) signature that "
+        "embedding._check_arity enforces; the vehicle has no disturbance",
+    ("prepare", "Whi"):
+        "part of the plug-in prepare(Ulo, Uhi, Wlo, Whi) signature that "
+        "embedding._check_arity enforces; the vehicle has no disturbance",
+}
+
+
+def _unread_parameters():
+    """``(function name, parameter)`` pairs that no function of that name reads.
+
+    Functions that share a name (a method and its overrides, or the
+    plug-in stages of several plants) share a signature, so a parameter
+    counts as read when any one of them reads it.  ``self`` and ``cls``
+    are exempt.
+    """
+    params, reads = {}, {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.arg not in ("self", "cls"):
+                    params.setdefault(node.name, set()).add(arg.arg)
+            reads.setdefault(node.name, set()).update(
+                sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+    return {(name, param) for name, names in params.items()
+            for param in names - reads[name]}
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert sorted(unread - set(UNREAD_PARAMETERS)) == [], \
+        "parameters no function of their name reads"
+    assert sorted(set(UNREAD_PARAMETERS) - unread) == [], \
+        "allowed unread parameters that are now read or gone"
