@@ -4,8 +4,16 @@ Configs are JSON documents (schema version 1).  Infinite tolerances may be
 written as the string ``"inf"``.  A relative ``network`` path resolves
 against the config file's directory when loaded from disk; ``output_dir``
 is used as written, so a relative one resolves against the working
-directory.  A key outside the schema is a :class:`ConfigError` naming its
-path, in every object but ``system.params``, which the plant checks.
+directory.
+
+:meth:`ExperimentConfig.from_dict` checks only what no object built from
+the config checks: JSON types, required and unknown keys (in every object
+but ``system.params``, which the plant checks), ``"inf"`` strings, finite
+``dt``, ``horizon`` and ``control.period``, ``seed >= 0``, the type of
+``output_dir`` and the schema version.  :func:`build_experiment` builds the
+algorithm parameters, the initial set, the disturbance box, the network and
+the plant's model, each of which checks its own values, and maps each
+``ValueError`` to a :class:`ConfigError` under the JSON path it came from.
 """
 
 from __future__ import annotations
@@ -16,10 +24,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import check_relaxable
-from .intervals import IntervalVector, ToleranceVector
+from .intervals import IntervalVector
 from .networks import MLPNetwork
 from .partition import AlgorithmParams, ReachTube, compute_reachable_set
 from .systems import get_system
@@ -158,14 +164,10 @@ class ExperimentConfig:
                           ("lo", "hi"))
         lo = _float_list(_need(init, "lo", "config.initial_set"), "config.initial_set.lo")
         hi = _float_list(_need(init, "hi", "config.initial_set"), "config.initial_set.hi")
-        if len(lo) != len(hi):
-            raise ConfigError("config.initial_set: lo and hi lengths differ")
 
         dist = _as_object(data.get("disturbance", {}), "config.disturbance", ("lo", "hi"))
         dlo = _float_list(dist.get("lo", []), "config.disturbance.lo")
         dhi = _float_list(dist.get("hi", []), "config.disturbance.hi")
-        if len(dlo) != len(dhi):
-            raise ConfigError("config.disturbance: lo and hi lengths differ")
 
         control = _as_object(_need(data, "control", "config"), "config.control",
                              ("period",))
@@ -182,23 +184,10 @@ class ExperimentConfig:
             eps = _float_list(eps_raw, "config.algorithm.eps")
         else:
             eps = [_as_float(eps_raw, "config.algorithm.eps")] * len(lo)
-        if not all(e >= 0.0 for e in eps):  # also rejects NaN
-            raise ConfigError(
-                f"config.algorithm.eps must be non-negative (inf allowed), got {eps}"
-            )
         gamma = _as_float(alg.get("gamma", 1.0), "config.algorithm.gamma")
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError(f"config.algorithm.gamma must be in (0, 1], got {gamma}")
         depth_max = _as_int(alg.get("depth_max", 0), "config.algorithm.depth_max")
         nn_depth_max = _as_int(alg.get("nn_depth_max", 0),
                                "config.algorithm.nn_depth_max")
-        if depth_max < 0 or nn_depth_max < 0:
-            raise ConfigError("config.algorithm: depth budgets must be non-negative")
-        mode = alg.get("mode", "adaptive")
-        if mode not in ("adaptive", "uniform"):
-            raise ConfigError(
-                f"config.algorithm.mode must be 'adaptive' or 'uniform', got {mode!r}"
-            )
 
         seed = _as_int(data.get("seed", 0), "config.seed")
         if seed < 0:
@@ -224,7 +213,7 @@ class ExperimentConfig:
             gamma=gamma,
             depth_max=depth_max,
             nn_depth_max=nn_depth_max,
-            mode=mode,
+            mode=alg.get("mode", "adaptive"),
             seed=seed,
             mc_trajectories=_as_int(data.get("mc_trajectories", 200),
                                     "config.mc_trajectories"),
@@ -281,6 +270,24 @@ class Experiment:
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     try:
+        params = AlgorithmParams(eps=cfg.eps, gamma=cfg.gamma, depth_max=cfg.depth_max,
+                                 nn_depth_max=cfg.nn_depth_max, mode=cfg.mode)
+    except ValueError as exc:  # each message starts with the field's name
+        raise ConfigError(f"config.algorithm.{exc}") from None
+
+    try:
+        root_box = IntervalVector(cfg.initial_lo, cfg.initial_hi)
+    except ValueError as exc:
+        raise ConfigError(f"config.initial_set: {exc}") from None
+
+    w_box = None
+    if cfg.disturbance_lo or cfg.disturbance_hi:
+        try:
+            w_box = IntervalVector(cfg.disturbance_lo, cfg.disturbance_hi)
+        except ValueError as exc:
+            raise ConfigError(f"config.disturbance: {exc}") from None
+
+    try:
         net = MLPNetwork.load(cfg.network)
         check_relaxable(net)
     except FileNotFoundError:
@@ -292,18 +299,6 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         system = get_system(cfg.system, **cfg.system_params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config.system: {exc}") from None
-
-    try:
-        root_box = IntervalVector(np.array(cfg.initial_lo), np.array(cfg.initial_hi))
-    except ValueError as exc:
-        raise ConfigError(f"config.initial_set: {exc}") from None
-
-    w_box = None
-    if cfg.disturbance_lo:
-        try:
-            w_box = IntervalVector(np.array(cfg.disturbance_lo), np.array(cfg.disturbance_hi))
-        except ValueError as exc:
-            raise ConfigError(f"config.disturbance: {exc}") from None
 
     if not hasattr(system, "build_model"):
         raise ConfigError(
@@ -321,18 +316,10 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         raise ConfigError(
             f"config.initial_set has dimension {root_box.n}, system state is {model.n}"
         )
-    if len(cfg.eps) != model.n:
+    if params.eps.n != model.n:
         raise ConfigError(
-            f"config.algorithm.eps needs {model.n} entries, got {len(cfg.eps)}"
+            f"config.algorithm.eps needs {model.n} entries, got {params.eps.n}"
         )
-
-    params = AlgorithmParams(
-        eps=ToleranceVector(np.array(cfg.eps, dtype=float)),
-        gamma=cfg.gamma,
-        depth_max=cfg.depth_max,
-        nn_depth_max=cfg.nn_depth_max,
-        mode=cfg.mode,
-    )
     return Experiment(config=cfg, model=model, root_box=root_box, params=params,
                       net=net)
 

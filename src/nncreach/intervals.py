@@ -131,7 +131,7 @@ class ToleranceVector:
     def __post_init__(self):
         eps = _as_vector(self.eps, "eps")
         if np.isnan(eps).any() or (eps < 0).any():
-            raise ValueError("tolerances must be non-negative (inf allowed)")
+            raise ValueError(f"eps must be non-negative (inf allowed), got {eps.tolist()}")
         hard = eps == 0
         div = np.where(hard, 1.0, eps)
         for name, a in (("eps", eps), ("div", div), ("hard", hard)):

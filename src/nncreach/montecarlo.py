@@ -1,10 +1,9 @@
 """Seeded closed-loop trajectory sampling and tube containment audits.
 
-Trajectories are integrated with the same step size and the same control
-instants as the verifier, so containment can be checked pointwise on a
-shared time grid.  All randomness flows through one generator seeded up
-front: initial states first, then one disturbance draw per control
-interval.
+Trajectories are integrated on the verifier's control time grid, so
+containment can be checked pointwise on it.  All randomness flows through
+one generator seeded up front: initial states first, then one disturbance
+draw per control interval.
 """
 
 from __future__ import annotations

@@ -79,11 +79,10 @@ class MLPNetwork:
         layers = [l if isinstance(l, Layer) else Layer(*l) for l in layers]
         if not layers:
             raise ValueError("a network needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
+        for idx, (prev, nxt) in enumerate(zip(layers, layers[1:]), start=1):
             if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dimensions do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+                raise ValueError(f"layer dimensions do not chain at layer {idx}: "
+                                 f"{prev.out_dim} -> {nxt.in_dim}")
         if layers[-1].activation != "identity":
             raise ValueError("the final layer must have identity activation")
         self.layers = tuple(layers)
@@ -140,22 +139,18 @@ class MLPNetwork:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed network description: missing {exc}") from exc
         layers = []
-        expect = input_dim
         for idx, spec in enumerate(raw_layers):
             try:
-                layer = Layer(np.array(spec["weights"], dtype=float),
-                              np.array(spec["bias"], dtype=float),
-                              spec.get("activation", "relu"))
+                layers.append(Layer(np.array(spec["weights"], dtype=float),
+                                    np.array(spec["bias"], dtype=float),
+                                    spec.get("activation", "relu")))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"layer {idx}: {exc}") from exc
-            if layer.in_dim != expect:
-                raise ValueError(
-                    f"layer {idx} expects inputs of dimension {layer.in_dim}, "
-                    f"previous layer produces {expect}"
-                )
-            expect = layer.out_dim
-            layers.append(layer)
-        return cls(layers, description=str(data.get("description", "")))
+        net = cls(layers, description=str(data.get("description", "")))
+        if net.input_dim != input_dim:
+            raise ValueError(f"input_dim is {input_dim}, but layer 0 expects inputs "
+                             f"of dimension {net.input_dim}")
+        return net
 
     @classmethod
     def load(cls, path) -> "MLPNetwork":

@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _GRID_TOL = 1e-9
+_MAX_GRID_STEPS = 10 ** 7
 
 
 @dataclass
@@ -91,11 +92,13 @@ class AlgorithmParams:
         if not isinstance(self.eps, ToleranceVector):
             self.eps = ToleranceVector(np.asarray(self.eps, dtype=float))
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.depth_max < 0 or self.nn_depth_max < 0:
-            raise ValueError("depth budgets must be non-negative")
+            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        for name, depth in (("depth_max", self.depth_max),
+                            ("nn_depth_max", self.nn_depth_max)):
+            if depth < 0:
+                raise ValueError(f"{name} must be non-negative, got {depth}")
         if self.mode not in ("adaptive", "uniform"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be 'adaptive' or 'uniform', got {self.mode!r}")
         if self.nn_depth_max > self.depth_max:
             warnings.warn(
                 f"nn_depth_max={self.nn_depth_max} exceeds depth_max="
@@ -205,8 +208,10 @@ class _ControlGrid:
     from t = 0 has ``num_intervals`` control intervals of one ``period``
     each, the last ending at the smallest multiple of the period at or
     beyond the horizon, and ``steps`` steps of ``dt`` per interval; ``dt``
-    must divide the period.  ``instants`` are the interval ends and
-    ``times`` the step ends, from 0.
+    must divide the period.  ``times`` are the step ends, from 0, so the
+    end of interval ``j`` is ``times[j * steps]``.  A horizon or period of
+    more than ``_MAX_GRID_STEPS`` steps is rejected before the grid is
+    allocated.
     """
 
     def __init__(self, n: int, p: int, net, horizon: float, dt: float, period: float):
@@ -221,7 +226,10 @@ class _ControlGrid:
             raise ValueError("horizon must be positive")
         if period <= 0:
             raise ValueError("the control period must be positive")
-        m = max(1, math.ceil(horizon / period - _GRID_TOL))
+        # within a factor 2 of the grid's step count; also rejects NaN
+        if not max(horizon, period) / dt <= _MAX_GRID_STEPS:
+            raise ValueError(f"the time grid to horizon {horizon} would have more "
+                             f"than {_MAX_GRID_STEPS} steps of dt={dt}")
         self.steps = int(round(period / dt))
         # a period within _GRID_TOL of 0 rounds to 0 steps and would pass the tolerance
         if self.steps < 1 or abs(period - self.steps * dt) > _GRID_TOL:
@@ -229,12 +237,8 @@ class _ControlGrid:
         self.n = n
         self.net = net
         self.dt = float(dt)
-        self.instants = [float(j * period) for j in range(m + 1)]
-        self.times = self.dt * np.arange(m * self.steps + 1)
-
-    @property
-    def num_intervals(self) -> int:
-        return len(self.instants) - 1
+        self.num_intervals = max(1, math.ceil(horizon / period - _GRID_TOL))
+        self.times = self.dt * np.arange(self.num_intervals * self.steps + 1)
 
 
 class ContinuousClosedLoopModel(_ControlGrid):
@@ -417,6 +421,6 @@ def compute_reachable_set(root_box: IntervalVector, params: AlgorithmParams,
         boxes = IntervalVector.from_stack(ends)
         max_depth = max(len(path) for path in paths)
         assert max_depth <= params.depth_max, "depth budget violated"
-        stats.append(StepStats(j, model.instants[j], len(paths), max_depth,
-                               nn_calls, subdivisions))
+        stats.append(StepStats(j, float(model.times[j * model.steps]), len(paths),
+                               max_depth, nn_calls, subdivisions))
     return ReachTube(times=model.times, boxes=tube, interval_stats=stats)

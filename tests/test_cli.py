@@ -67,7 +67,7 @@ class TestConfigParsing:
         data = di_config_dict()
         data["algorithm"]["gamma"] = 0.0
         with pytest.raises(ConfigError, match="gamma"):
-            ExperimentConfig.from_dict(data)
+            build_experiment(ExperimentConfig.from_dict(data))
 
     def test_inf_strings_parse(self):
         data = di_config_dict()
@@ -78,8 +78,9 @@ class TestConfigParsing:
     def test_mismatched_set_lengths(self):
         data = di_config_dict()
         data["initial_set"]["hi"] = [3.0]
-        with pytest.raises(ConfigError, match="lengths differ"):
-            ExperimentConfig.from_dict(data)
+        with pytest.raises(ConfigError, match="config.initial_set: lo and hi must have "
+                                              "the same length"):
+            build_experiment(ExperimentConfig.from_dict(data))
 
     def test_overrides_dotted_paths(self):
         data = apply_overrides(di_config_dict(),
@@ -116,7 +117,7 @@ class TestConfigParsing:
         data = di_config_dict()
         data["algorithm"]["mode"] = "non-adaptive-uniform"
         with pytest.raises(ConfigError, match="config.algorithm.mode"):
-            ExperimentConfig.from_dict(data)
+            build_experiment(ExperimentConfig.from_dict(data))
 
 
 class TestBuildExperiment:
@@ -344,6 +345,16 @@ class TestCommandLine:
         (["--set", "initial_set.low=[0]"], "config.initial_set.low: unknown key"),
         (["--set", "disturbance.high=[]"], "config.disturbance.high: unknown key"),
         (["--set", "control.periode=1"], "config.control.periode: unknown key"),
+        (["--set", "algorithm.gamma=0"], "config.algorithm.gamma"),
+        (["--set", "algorithm.gamma=1.5"], "config.algorithm.gamma"),
+        (["--set", "algorithm.depth_max=-1"], "config.algorithm"),
+        (["--set", "algorithm.nn_depth_max=-1"], "config.algorithm"),
+        (["--set", "algorithm.mode=adaptve"], "config.algorithm.mode"),
+        (["--set", "initial_set.hi=[3.0]"], "config.initial_set"),
+        (["--set", 'disturbance={"lo": [], "hi": [0.1]}'], "config.disturbance"),
+        (["--set", "algorithm.eps=[0.1, 0.1, 0.1]"], "config.algorithm.eps"),
+        # rejected before the grid is allocated
+        (["--set", "horizon=1e12"], "config: the time grid"),
     ])
     def test_bad_values_exit_as_config_errors(self, tmp_path, capsys, plant, args, where):
         if plant == "vehicle":

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from nncreach import (
     compute_reachable_set,
     config,
     containment_check,
+    contraction,
     get_system,
     hull_volume,
     register_system,
@@ -584,3 +587,47 @@ class TestVolumes:
         tube = compute_reachable_set(exp.root_box, exp.params, exp.model)
         for boxes in tube.boxes:
             assert union_area_raster(boxes) == per_box_raster(boxes, 1000)
+
+
+def readme_model_members():
+    """The members README's plug-in paragraph says a closed-loop model must have."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    sentence = readme.split("The model it returns must have", 1)[1].split(";", 1)[0]
+    return re.findall(r"`(\w+)", sentence)
+
+
+class _ListedMembersOnly:
+    """A model that answers only for the member names it is given."""
+
+    def __init__(self, model, names):
+        self._model, self._names = model, frozenset(names)
+
+    def __getattr__(self, name):
+        if name not in self._names:
+            raise AttributeError(f"{name!r} is not a listed model member")
+        return getattr(self._model, name)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("di_adaptive_d3n1", []),
+    ("vehicle_adaptive_d2n1", ["horizon=0.5"]),
+])
+def test_readme_model_protocol_is_what_is_read(name, overrides, tmp_path):
+    members = readme_model_members()
+    assert members == ["n", "steps", "num_intervals", "times", "make_embedding",
+                       "verify", "advance", "simulate_interval"]
+    cfg = config.ExperimentConfig.load(CONFIGS / f"{name}.json", overrides)
+    exp = config.build_experiment(cfg)
+
+    def run(names):
+        proxied = dataclasses.replace(exp, model=_ListedMembersOnly(exp.model, names))
+        tube, _ = config.run_experiment(proxied)
+        tube.write_csv(tmp_path / "tube.csv")
+        _, traj = sample_trajectories(proxied.model, proxied.root_box, 8, cfg.seed)
+        assert containment_check(tube, traj).ok
+        contraction.diagnose(proxied, tube)
+
+    run(members)
+    for hidden in members:
+        with pytest.raises(AttributeError, match=hidden):
+            run(set(members) - {hidden})

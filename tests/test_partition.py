@@ -15,6 +15,7 @@ from nncreach import (
     affine_system,
     compute_reachable_set,
 )
+from nncreach import partition
 from nncreach.intervals import interval_hull
 from nncreach.partition import _predicate_fires, _probe_steps
 
@@ -70,6 +71,16 @@ class TestAlgorithmParams:
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             params([1.0], mode="greedy")
+
+    @pytest.mark.parametrize("eps, kwargs, field", [
+        ([-1.0], {}, "eps"), ([np.nan], {}, "eps"), ([1.0], {"gamma": 0.0}, "gamma"),
+        ([1.0], {"dp": -1}, "depth_max"), ([1.0], {"dp": 1, "dn": -1}, "nn_depth_max"),
+        ([1.0], {"mode": "greedy"}, "mode"),
+    ])
+    def test_messages_start_with_the_field_name(self, eps, kwargs, field):
+        # so that a config error can prefix the message with the field's JSON path
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            params(eps, **kwargs)
 
     @pytest.mark.parametrize("mode", ["adaptive", "uniform"])
     def test_nn_depth_beyond_partition_depth_is_capped(self, di_net, di_box, mode):
@@ -351,9 +362,8 @@ def reference_discrete_grid(horizon_steps):
 
 
 def assert_same_grid(model, grid):
-    instants, steps, times = grid
+    _, steps, times = grid
     assert model.times.tobytes() == times.tobytes()
-    assert model.instants == instants
     assert model.num_intervals == len(steps)
     assert [model.steps] * model.num_intervals == steps
 
@@ -433,8 +443,36 @@ class TestModelValidation:
         sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
         model = ContinuousClosedLoopModel(sys, zero_network(1, 1), horizon=1.1,
                                           dt=0.05, control_period=0.25)
-        assert model.instants[-1] == pytest.approx(1.25)  # smallest instant >= T
-        assert model.times[-1] == pytest.approx(1.25)
+        assert model.times[-1] == pytest.approx(1.25)  # smallest instant >= T
+
+    @pytest.mark.parametrize("dt, period", [(0.01, 0.25), (0.05, 0.25), (1.0, 1.0)])
+    def test_interval_ends_are_rows_of_the_tube_times(self, dt, period):
+        sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
+        model = ContinuousClosedLoopModel(sys, zero_network(1, 1), horizon=5 * period - 0.1,
+                                          dt=dt, control_period=period)
+        box = IntervalVector(np.array([-0.5]), np.array([0.5]))
+        tube = compute_reachable_set(box, params([INF]), model)
+        ends = [s.t_end for s in tube.interval_stats]
+        assert all(t in tube.times.tolist() for t in ends)
+        assert ends == tube.times[model.steps::model.steps].tolist()
+        assert ends == [j * period for j in range(1, 6)]  # also the bits of j * period
+
+    def test_grid_size_is_bounded_before_allocation(self, di_net, monkeypatch):
+        # only bounded grids are built here: an unbounded one would take terabytes
+        sys = affine_system(np.array([[0.0]]), np.array([[1.0]]))
+        net = zero_network(1, 1)
+        for horizon, dt, period in [(INF, 0.01, 0.25), (1e12, 0.01, 0.25), (INF, 1.0, 1.0),
+                                    (1e-9, 1e-300, 1.0)]:
+            with pytest.raises(ValueError, match="more than 10000000 steps"):
+                ContinuousClosedLoopModel(sys, net, horizon=horizon, dt=dt,
+                                          control_period=period)
+        with pytest.raises(ValueError, match="more than 10000000 steps"):
+            di_model(di_net, horizon=10 ** 12)
+        monkeypatch.setattr(partition, "_MAX_GRID_STEPS", 100)
+        model = ContinuousClosedLoopModel(sys, net, horizon=1.0, dt=0.01, control_period=0.25)
+        assert len(model.times) == 101
+        with pytest.raises(ValueError, match="more than 100 steps"):
+            ContinuousClosedLoopModel(sys, net, horizon=1.01, dt=0.01, control_period=0.25)
 
     def test_dimension_mismatch_rejected(self, di_net):
         model = di_model(di_net)
