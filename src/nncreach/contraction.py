@@ -34,6 +34,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _GRID_DENSITY = 5  # grid fractions per axis in low dimensions
 _FD_STEP = 1e-6    # central-difference step relative to max(1, |x|)
 _HALTON_SKIP = 20  # leading points of the sequence left out
+# Face-row elements (rows x 2n x n) in one open_field call of the estimate:
+# each row of a stack makes 2n face rows of n states, and a face row of the
+# vehicle's field holds about 70 floats of temporaries.
+_FIELD_ELEMENTS = 2 ** 17
 
 
 def halton(count: int, dims: int) -> np.ndarray:
@@ -66,7 +70,9 @@ def fd_jacobian(fun, X) -> np.ndarray:
     ``(k, out)``; ``idx[r]`` is the row of ``X`` that row ``r`` perturbs, so
     ``fun`` can pair it with that sample's other arguments.  All ``2 d m``
     perturbed rows go to ``fun`` in one call, each axis moved by
-    ``h = 1e-6 * max(1, |x|)``.  Returns ``(m, out, d)``.
+    ``h = 1e-6 * max(1, |x|)``; how much memory that call takes is
+    ``fun``'s to bound (:func:`estimate_contraction` evaluates its field in
+    runs of rows).  Returns ``(m, out, d)``.
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape
@@ -168,6 +174,28 @@ def _sample_pairs(box: IntervalVector, samples_per_box: int):
     return box.lo + fa * w, box.lo + fb * w
 
 
+def _in_runs(open_field, n: int):
+    """``open_field`` over row stacks, in even runs of at most ``_FIELD_ELEMENTS`` face-row elements.
+
+    Every field of this package maps each row on its own (elementwise, or
+    one matrix-vector product per row), so the runs give every row the
+    bits of one call over the whole stack.  A larger stack is cut into the fewest runs of
+    near-equal length, so that no run is a single row.
+    """
+    most = max(4, _FIELD_ELEMENTS // (2 * n * n))
+
+    def field(*args):
+        rows = len(args[0])
+        runs = -(-rows // most)
+        if runs <= 1:
+            return open_field(*args)
+        cuts = (np.arange(runs + 1) * rows // runs).tolist()
+        return np.concatenate([open_field(*(a[s:e] for a in args))
+                               for s, e in zip(cuts, cuts[1:])])
+
+    return field
+
+
 def _sup(start: float, values) -> float:
     """``max(start, v_0, v_1, ...)`` over ``values`` in C order, as a running max takes them."""
     return max([start, *np.ravel(values).tolist()])
@@ -184,8 +212,11 @@ def estimate_contraction(emb, region, samples_per_box: int = 32) -> ContractionE
 
     Every sample pair of the region is differenced at once: each Jacobian
     below is one :func:`fd_jacobian` call over all samples, with the row
-    stacks that ``open_field`` and the inclusion function accept.  A region
-    box that leaves the relaxation's domain raises ``DomainError``.
+    stacks that ``open_field`` and the inclusion function accept.  The
+    field evaluates a stack in runs of at most ``_FIELD_ELEMENTS`` face-row
+    elements, so the estimate's memory peak does not grow with the sample
+    count; the runs keep every row's bits.  A region box that leaves the
+    relaxation's domain raises ``DomainError``.
     """
     region = list(region)
     if not region:
@@ -196,8 +227,8 @@ def estimate_contraction(emb, region, samples_per_box: int = 32) -> ContractionE
     incl = emb.incl
     if incl is None:
         raise RuntimeError("embedding has no inclusion function; call refresh_control")
-    open_field = emb.open_field
     n, p, q = emb.n, emb.p, emb.q
+    open_field = _in_runs(emb.open_field, n)
     for box in region:
         incl.check_domain(box.lo, box.hi)
 

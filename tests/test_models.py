@@ -27,7 +27,7 @@ from nncreach import (
     sample_trajectories,
     union_area_raster,
 )
-from nncreach import montecarlo
+from nncreach import montecarlo, volume
 from nncreach.intervals import interval_mul
 from nncreach.partition import StepStats
 
@@ -497,6 +497,59 @@ def per_box_raster(boxes, resolution):
     return float(inside.sum()) * dx * dy
 
 
+def full_grid_raster(boxes, resolution):
+    """Test oracle: the union raster as one ``(resolution + 1)^2`` difference grid."""
+    lo, hi = boxes[:, 0, :2], boxes[:, 1, :2]
+    xmin, ymin = lo.min(axis=0)
+    xmax, ymax = hi.max(axis=0)
+    if xmax <= xmin or ymax <= ymin:
+        return 0.0
+    dx = (xmax - xmin) / resolution
+    dy = (ymax - ymin) / resolution
+    xs = xmin + (np.arange(resolution) + 0.5) * dx
+    ys = ymin + (np.arange(resolution) + 0.5) * dy
+    x0 = np.searchsorted(xs, lo[:, 0], "left")
+    x1 = np.searchsorted(xs, hi[:, 0], "right")
+    y0 = np.searchsorted(ys, lo[:, 1], "left")
+    y1 = np.searchsorted(ys, hi[:, 1], "right")
+    keep = (x0 < x1) & (y0 < y1)
+    x0, x1, y0, y1 = x0[keep], x1[keep], y0[keep], y1[keep]
+    cover = np.zeros((resolution + 1, resolution + 1), dtype=np.int32)
+    np.add.at(cover, (x0, y0), 1)
+    np.add.at(cover, (x0, y1), -1)
+    np.add.at(cover, (x1, y0), -1)
+    np.add.at(cover, (x1, y1), 1)
+    np.cumsum(cover, axis=0, out=cover)
+    np.cumsum(cover, axis=1, out=cover)
+    return float(np.count_nonzero(cover[:resolution, :resolution])) * dx * dy
+
+
+def random_raster_boxes(rng, resolution, m):
+    """``m`` random boxes in a random frame, with the raster's edge cases mixed in.
+
+    Two point boxes at the frame's corners fix the hull, hence the cell
+    centres.  Some edges sit exactly on cell centres, some boxes are flat
+    or crossed (``lo > hi``), and some reach the frame's upper side, whose
+    corners fall on index ``resolution`` of the difference grid.
+    """
+    frame = np.sort(rng.uniform(-3, 3, size=(2, 2)), axis=0)
+    cells = [frame[0, a] + (np.arange(resolution) + 0.5)
+             * ((frame[1, a] - frame[0, a]) / resolution) for a in range(2)]
+    lo = rng.uniform(frame[0], frame[1], size=(m, 2))
+    hi = lo + rng.uniform(0, 1, size=(m, 2)) * (frame[1] - lo)
+    for a in range(2):
+        on_lo, on_hi = rng.random(m) < 0.3, rng.random(m) < 0.3
+        lo[on_lo, a] = rng.choice(cells[a], on_lo.sum())
+        hi[on_hi, a] = np.maximum(lo[on_hi, a], rng.choice(cells[a], on_hi.sum()))
+        hi[rng.random(m) < 0.15, a] = frame[1, a]
+    flat = rng.random(m) < 0.1
+    hi[flat, 0] = lo[flat, 0]
+    crossed = rng.random(m) < 0.1
+    lo[crossed], hi[crossed] = hi[crossed], lo[crossed]
+    corners = np.stack([frame[[0, 0]], frame[[1, 1]]])
+    return np.concatenate([np.stack([lo, hi], axis=1), corners])
+
+
 def manual_tube(box_stacks, times=None):
     times = np.arange(len(box_stacks), dtype=float) if times is None else times
     stats = [StepStats(i + 1, float(times[i + 1]), 1, 0, 0, 0)
@@ -580,6 +633,24 @@ class TestVolumes:
                 boxes[1, 0] -= 0.25 * (frame[1] - frame[0])
             assert union_area_raster(boxes, resolution=resolution) == \
                 per_box_raster(boxes, resolution)
+
+    @pytest.mark.parametrize("band_rows", [None, 1, 64])
+    @pytest.mark.parametrize("resolution", [1, 63, 64, 65, 127, 1000])
+    def test_banded_raster_matches_the_full_grid(self, resolution, band_rows, monkeypatch):
+        if band_rows is not None:
+            monkeypatch.setattr(volume, "_BAND_CELLS", band_rows * (resolution + 1))
+        rng = np.random.default_rng(resolution)
+        for m in (1, 2, 5, 30, 200):
+            boxes = random_raster_boxes(rng, resolution, m)
+            assert union_area_raster(boxes, resolution=resolution) == \
+                full_grid_raster(boxes, resolution)
+
+    def test_raster_resolution_must_be_a_positive_integer(self):
+        boxes = np.array([[[0.0, 0.0], [1.0, 1.0]]])
+        for bad in (2.5, 1000.0, "1000", None, -3):
+            with pytest.raises(ValueError, match="resolution must be a positive integer"):
+                union_area_raster(boxes, resolution=bad)
+        assert union_area_raster(boxes, resolution=np.int64(4)) == 1.0
 
     def test_raster_matches_per_box_loop_on_shipped_tube(self):
         exp = config.build_experiment(
