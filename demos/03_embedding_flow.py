@@ -25,6 +25,7 @@ from nncreach import (
     MLPNetwork,
     VehicleSystem,
     affine_system,
+    crown_bounds,
     make_inclusion,
 )
 from pathlib import Path
@@ -69,7 +70,8 @@ def vehicle():
     box = IntervalVector(np.array([7.9, 7.9, -c - 0.01, 1.99]),
                          np.array([8.1, 8.1, -c + 0.01, 2.01]))
     emb = ClosedLoopEmbedding(sys)
-    emb.refresh_control(box, reverify=True, net=net, interval_index=0)
+    emb.refresh_control(box, inherited=make_inclusion(crown_bounds(net, box)),
+                        interval_index=0)
     print("per-face controller output ranges frozen at the control instant:")
     for i, name in enumerate(["p_x", "p_y", "phi", "v"]):
         face_hi = box.hi.copy()

@@ -67,7 +67,10 @@ def _load(args) -> tuple[ExperimentConfig, Path]:
     seed = [] if args.seed is None else [f"seed={args.seed}"]
     cfg = ExperimentConfig.load(args.config, overrides=args.set + seed)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     return cfg, out_dir
 
 

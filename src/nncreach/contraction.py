@@ -30,7 +30,6 @@ __all__ = [
     "halton",
 ]
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _GRID_DENSITY = 5  # grid fractions per axis in low dimensions
 _FD_STEP = 1e-6    # central-difference step relative to max(1, |x|)
 _HALTON_SKIP = 20  # leading points of the sequence left out
@@ -48,9 +47,7 @@ def halton(count: int, dims: int) -> np.ndarray:
     digit from the least significant one; all points and axes take each
     digit position at once.
     """
-    if dims > len(_PRIMES):
-        raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
-    base = np.array(_PRIMES[:dims])
+    base = np.array(_primes(dims))
     k = np.repeat(np.arange(_HALTON_SKIP + 1, _HALTON_SKIP + 1 + count)[:, None], dims,
                   axis=1)
     f = np.ones(dims)
@@ -61,6 +58,17 @@ def halton(count: int, dims: int) -> np.ndarray:
         r += f * (k % base)
         k //= base
     return r
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def fd_jacobian(fun, X) -> np.ndarray:
@@ -120,7 +128,7 @@ def _growth_factor(c: float, t: float) -> float:
     ct = c * t
     if ct > 700.0:
         return math.inf
-    return (math.exp(ct) - 1.0) / c
+    return math.expm1(ct) / c
 
 
 def error_bound(est, t: float, init_err: float, nn_err_sup: float,
@@ -137,9 +145,9 @@ def error_bound(est, t: float, init_err: float, nn_err_sup: float,
     else:
         c, lu, lw = est
     ct = c * t
-    expct = math.inf if ct > 700.0 else max(math.exp(ct), 0.0)
-    return expct * init_err + lu * _growth_factor(c, t) * nn_err_sup \
-        + lw * _growth_factor(c, t) * w_err_sup
+    expct = math.inf if ct > 700.0 else math.exp(ct)
+    growth = _growth_factor(c, t)
+    return expct * init_err + lu * growth * nn_err_sup + lw * growth * w_err_sup
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +317,7 @@ def diagnose(exp, tube) -> dict:
     domain = region_domain(region)
     incl = exp.model.verify(domain)
     emb = exp.model.make_embedding()
-    emb.refresh_control(domain, reverify=False, inherited=incl)
+    emb.refresh_control(domain, inherited=incl)
     est = estimate_contraction(emb, region)
 
     # network approximation error over the analysis region (sampled)

@@ -18,13 +18,13 @@ enclosure; given only a decomposition, it is wrapped once as an extension
 pinned component is the decomposition's bound for that face.
 
 The closed loop with a sampled neural-network controller is handled by
-:class:`ClosedLoopEmbedding`: at every control instant the network is
-relaxed over the current box and the resulting output intervals are
-evaluated on the ``2n`` faces of that box in one call, whose bits hold
-per ``2n``-row face block (a lone row may differ in the last place).
-Those face intervals stay frozen while the embedding is integrated
-across the control interval, so they go through ``prepare`` once, at the
-control instant, and every Euler step makes one ``extension`` call.
+:class:`ClosedLoopEmbedding`: at every control instant the caller (the
+model's ``verify``) relaxes the network over the current box, and the
+output intervals are evaluated on the ``2n`` faces of that box in one
+call, whose bits hold per ``2n``-row face block (a lone row may differ
+in the last place).  Those face intervals stay frozen while the embedding
+is integrated across the control interval, so they go through ``prepare``
+once, at the control instant, and every Euler step makes one ``extension`` call.
 
 The face layout (row ``i`` pins coordinate ``i`` at its lower end, row
 ``n + i`` at its upper end) is built by ``_face_rows``, as one gather from
@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .bounds import InclusionFunction, crown_bounds, make_inclusion
+from .bounds import InclusionFunction
 from .intervals import IntervalVector, _matvec
 
 __all__ = [
@@ -336,13 +336,9 @@ class _FrozenControlEmbedding:
     state one step after ``cur`` into ``out``.
     """
 
-    def _control_inclusion(self, box: IntervalVector, reverify: bool, net,
+    def _control_inclusion(self, box: IntervalVector,
                            inherited: InclusionFunction | None) -> InclusionFunction:
-        """Relaxation for a refresh at ``box`` (see ``refresh_control``)."""
-        if reverify:
-            if net is None:
-                raise ValueError("re-verification requires the network")
-            return make_inclusion(crown_bounds(net, box))
+        """``inherited``, checked to hold ``box`` in its domain."""
         if inherited is None:
             raise ValueError("no inclusion function passed to inherit")
         inherited._check_ordered(box.lo, box.hi)  # a box's ends are ordered
@@ -379,8 +375,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
     Holds the network inclusion function frozen over one control interval
     together with the per-face output intervals (the lower faces' rows
     first, then the upper faces') that feed the hybrid closed-loop
-    decomposition.  Caches are rebuilt by :meth:`refresh_control` whenever
-    a new control instant begins or the owning partition re-verifies.
+    decomposition.  :meth:`refresh_control` rebuilds the caches at each control
+    instant from the relaxation its caller (the model's ``verify``) passes.
     """
 
     def __init__(self, sys: OpenLoopSystem, w_box=None):
@@ -397,17 +393,16 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
         # (2n,) state [lo, hi] instead of from [lo, hi, lo, hi]
         self._state_faces = _face_index(self.n) % (2 * self.n)
 
-    def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
+    def refresh_control(self, box: IntervalVector, reverify: bool = False,
                         inherited: InclusionFunction | None = None,
                         interval_index: int = 0) -> None:
-        """Recompute the face caches at a control instant.
+        """Recompute the face caches at a control instant from ``inherited``.
 
-        With ``reverify`` the network is re-relaxed over ``box``; otherwise
-        ``inherited`` is used, which requires ``box`` to lie inside its
-        domain.  ``interval_index`` is not read: every control interval
-        has the same grid, and the keyword stays for callers that pass it.
+        ``box`` must lie inside the domain of that relaxation.  ``reverify``
+        and ``interval_index`` are not read; the keywords stay for callers
+        that pass them.
         """
-        self.incl = self._control_inclusion(box, reverify, net, inherited)
+        self.incl = self._control_inclusion(box, inherited)
         n = self.n
         # lower faces pin coordinate i down to lo_i, upper faces up to hi_i; the
         # faces lie inside the box the relaxation was built on or checked against
@@ -445,7 +440,8 @@ class ClosedLoopEmbedding(_FrozenControlEmbedding):
 class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     """One-step interval map for ``x+ = A x + B N(x)``.
 
-    Uses the per-step linear relaxation of the controller to form
+    Uses the per-step linear relaxation of the controller, passed by the
+    caller (the model's ``verify``) to :meth:`refresh_control`, to form
     ``M_lo = A + B+ C_lo + B- C_hi`` and ``M_hi = A + B+ C_hi + B- C_lo``;
     the update splits both into positive and negative parts.  The map
     takes no disturbance (``q = 0``).  ``A`` and ``B`` are kept as
@@ -492,18 +488,18 @@ class DiscreteLTIEmbedding(_FrozenControlEmbedding):
     def p(self) -> int:
         return self.B.shape[1]
 
-    def refresh_control(self, box: IntervalVector, reverify: bool, net=None,
+    def refresh_control(self, box: IntervalVector, reverify: bool = False,
                         inherited: InclusionFunction | None = None,
                         interval_index: int = 0) -> None:
-        """Refresh the relaxation and the packed update built from it.
+        """Refresh the relaxation ``inherited`` and the packed update built from it.
 
         The domain check runs on every refresh; the update is rebuilt only
         when the relaxation differs from the one it was built from.  Its
         arrays are read-only: every leaf stepped under the relaxation
-        reads them.  ``interval_index`` is not read, as in
-        :meth:`ClosedLoopEmbedding.refresh_control`.
+        reads them.  ``reverify`` and ``interval_index`` are not read, as
+        in :meth:`ClosedLoopEmbedding.refresh_control`.
         """
-        incl = self._control_inclusion(box, reverify, net, inherited)
+        incl = self._control_inclusion(box, inherited)
         if incl is self.incl:
             return
         self.incl = incl

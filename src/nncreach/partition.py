@@ -359,7 +359,7 @@ def _step_interval(ends, boxes: list, paths: list, params: AlgorithmParams, mode
             if eff is None:
                 eff = model.verify(box)
                 nn_calls += 1
-            emb.refresh_control(box, reverify=False, inherited=eff)
+            emb.refresh_control(box, inherited=eff)
             probing = len(path) < params.depth_max
             k = probe_steps if probing else steps
             traj = model.advance(emb, box.lo, box.hi, k)

@@ -422,6 +422,35 @@ class TestCommandLine:
         assert f"config error: network file {path}: layer 0: " in err
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("command", ["reach", "bench", "mc", "bounds"])
+    def test_unusable_out_exits_as_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, di_config_dict())
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        for out in (blocker, blocker / "sub"):  # the file itself, and a path under it
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+            assert f"config error: cannot make output directory {out}: " \
+                in capsys.readouterr().err
+        assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_bounds_on_a_seven_state_plant(self, tmp_path):
+        # the contraction samples take 2n = 14 Halton axes
+        A = -2.0 * np.eye(7) + 0.5 * np.eye(7, k=1)
+        register_system("test-seven-state", lambda: affine_system(A, np.ones((7, 1))))
+        rng = np.random.default_rng(7)
+        net = MLPNetwork([(rng.normal(size=(4, 7)) * 0.3, rng.normal(size=4) * 0.1, "relu"),
+                          (rng.normal(size=(1, 4)) * 0.3, np.zeros(1), "identity")])
+        net.save(tmp_path / "net7.json")
+        data = di_config_dict(system="test-seven-state", network=str(tmp_path / "net7.json"),
+                              initial_set={"lo": [0.9] * 7, "hi": [1.1] * 7},
+                              dt=0.1, control={"period": 0.5}, horizon=1.0)
+        data["algorithm"].update(eps=[0.1] * 7, depth_max=1, nn_depth_max=1)
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "bounds.json").read_text())
+        assert doc["sample_count"] > 0
+
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -17,7 +17,7 @@ from nncreach import (
     error_bound,
     composite_rate_bound,
 )
-from nncreach.contraction import fd_jacobian, halton
+from nncreach.contraction import _growth_factor, fd_jacobian, halton
 
 from conftest import random_box, random_relu_network, zero_network
 
@@ -61,7 +61,8 @@ class TestEstimateCx:
     def test_discrete_step_map(self, di_box):
         emb = DiscreteLTIEmbedding(np.array([[1.0, 1.0], [0.0, 1.0]]),
                                    np.array([[0.5], [1.0]]))
-        emb.refresh_control(di_box, reverify=True, net=zero_network(2, 1))
+        emb.refresh_control(di_box,
+                            inherited=make_inclusion(crown_bounds(zero_network(2, 1), di_box)))
         # zero controller: the step Jacobian is blkdiag(A, A), row sum 2
         assert estimate_contraction(emb, [di_box]).c_x == pytest.approx(2.0, abs=1e-5)
 
@@ -76,6 +77,16 @@ class TestEstimateCx:
         barely = IntervalVector(np.array([0.0]), np.array([1.0 + 1e-10]))
         with pytest.raises(DomainError):
             estimate_contraction(emb, [barely])
+
+    def test_seven_states_take_the_halton_branch(self):
+        # 2n = 14 Halton axes of pair fractions
+        A = -2.0 * np.eye(7) + np.eye(7, k=1)
+        sys = affine_system(A, np.ones((7, 1)))
+        domain = IntervalVector(-np.ones(7), np.ones(7))
+        est = estimate_contraction(embedding_for(sys, constant_inclusion(7, 1, domain)),
+                                   [domain])
+        assert est.sample_count > 0
+        assert est.c_x == pytest.approx(-1.0, abs=1e-5)
 
     def test_empty_sample_set_rejected(self):
         sys = affine_system(-np.eye(3), np.ones((3, 1)))  # 3 states: the Halton branch
@@ -135,6 +146,19 @@ class TestErrorBounds:
 
     def test_zero_rate_limit(self):
         assert error_bound((0.0, 2.0, 0.0), 3.0, 0.0, 0.1) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_growth_factor_is_continuous_through_zero_rate(self, sign):
+        """``(e^{ct} - 1) / c`` tends to ``t`` without cancelling for tiny ``|c|``."""
+        for c in (1e-12, 1e-14, 1e-17, 1e-100, 1e-300):
+            for t in (0.3, 1.0, 7.5):
+                want = t * (1.0 + sign * c * t / 2.0)  # the series, exact to rounding here
+                assert _growth_factor(sign * c, t) == pytest.approx(want, rel=1e-14)
+
+    def test_tiny_rate_keeps_the_network_and_disturbance_terms(self):
+        assert error_bound((1e-17, 1.0, 0.0), 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert error_bound((-1e-17, 0.0, 2.0), 1.0, 0.0, 0.0, 0.5) == \
+            pytest.approx(1.0, rel=1e-14)
 
     def test_accepts_estimate_object(self):
         est = ContractionEstimate(c_x=-1.0, c_x_open=-1.0, l_u=1.0, l_w=0.0,
@@ -231,6 +255,14 @@ class TestNumericHelpers:
                         k //= base
                     want[i, d] = r
             assert halton(count, dims).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 32, 128])
+    def test_halton_past_twelve_dimensions(self, count):
+        """More axes append ones in the next primes; the first twelve keep their bits."""
+        wide = halton(count, 14)
+        assert wide[:, :12].tobytes() == halton(count, 12).tobytes()
+        assert wide[0, 12:] == pytest.approx([21 / 41, 21 / 43])  # point 0 is index 21
+        assert np.all((wide >= 0) & (wide < 1))
 
     def test_halton_spread(self):
         pts = halton(128, 3)

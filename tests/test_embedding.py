@@ -15,6 +15,7 @@ from nncreach import (
     OpenLoopSystem,
     VehicleSystem,
     affine_system,
+    crown_bounds,
     make_inclusion,
 )
 
@@ -415,7 +416,8 @@ class TestClosedLoopEmbedding:
     def test_reference_and_fast_paths_agree(self, vehicle_net, vehicle_box):
         sys = VehicleSystem().open_loop()
         emb = ClosedLoopEmbedding(sys)
-        emb.refresh_control(vehicle_box, reverify=True, net=vehicle_net,
+        emb.refresh_control(vehicle_box,
+                            inherited=make_inclusion(crown_bounds(vehicle_net, vehicle_box)),
                             interval_index=0)
         lo, hi = vehicle_box.lo, vehicle_box.hi
         fast = emb.field(lo, hi)
@@ -425,7 +427,8 @@ class TestClosedLoopEmbedding:
     def test_integration_preserves_order(self, vehicle_net, vehicle_box):
         sys = VehicleSystem().open_loop()
         emb = ClosedLoopEmbedding(sys)
-        emb.refresh_control(vehicle_box, reverify=True, net=vehicle_net,
+        emb.refresh_control(vehicle_box,
+                            inherited=make_inclusion(crown_bounds(vehicle_net, vehicle_box)),
                             interval_index=0)
         traj = emb.integrate(vehicle_box.lo, vehicle_box.hi, 0.01, 25)
         assert traj.shape == (26, 2, 4)
@@ -582,7 +585,7 @@ class TestDiscreteLTIEmbedding:
     def test_zero_controller_benchmark_step(self, di_box):
         emb = DiscreteLTIEmbedding(self.A, self.B)
         net = zero_network(2, 1)
-        emb.refresh_control(di_box, reverify=True, net=net)
+        emb.refresh_control(di_box, inherited=make_inclusion(crown_bounds(net, di_box)))
         lo, hi = emb.integrate(di_box.lo, di_box.hi, 1.0, 1)[1]
         assert np.allclose(lo, [2.25, -0.25])
         assert np.allclose(hi, [3.25, 0.25])
@@ -648,7 +651,7 @@ class TestDiscreteMapBits:
         box = random_box(rng, n)  # widened to hold every SPECIAL-valued box
         box = IntervalVector(np.minimum(box.lo, -3.0), np.maximum(box.hi, 1.0))
         emb = DiscreteLTIEmbedding(A, B)
-        emb.refresh_control(box, reverify=True, net=net)
+        emb.refresh_control(box, inherited=make_inclusion(crown_bounds(net, box)))
         return emb, box
 
     def special_box(self, rng, n):
@@ -912,7 +915,7 @@ class TestGatheredStep:
             sys = affine_system(np.array([[-1.0, 0.5], [0.25, -2.0]]),
                                 np.array([[1.0], [-0.5]]), np.array([[0.5, 0.0], [-0.25, 0.75]]))
             emb = ClosedLoopEmbedding(sys, w_box=(np.array([-0.1, -0.2]), np.array([0.1, 0.3])))
-        emb.refresh_control(box, reverify=True, net=net)
+        emb.refresh_control(box, inherited=make_inclusion(crown_bounds(net, box)))
         return emb, box
 
     @staticmethod

@@ -21,8 +21,10 @@ from nncreach import (
     config,
     containment_check,
     contraction,
+    crown_bounds,
     get_system,
     hull_volume,
+    make_inclusion,
     register_system,
     sample_trajectories,
     union_area_raster,
@@ -213,7 +215,7 @@ class TestDiscreteLTIModel:
             want = pristine.make_embedding()
             assert got.d(x, xh, u, uh).tobytes() == want.d(x, xh, u, uh).tobytes()
             for e in (got, want):
-                e.refresh_control(di_box, reverify=True, net=di_net)
+                e.refresh_control(di_box, inherited=make_inclusion(crown_bounds(di_net, di_box)))
             assert got.integrate(x, xh, 1.0, 1).tobytes() == \
                 want.integrate(x, xh, 1.0, 1).tobytes()
         points = np.array([x, xh, (x + xh) / 2])

@@ -69,6 +69,10 @@ UNREAD_PARAMETERS = {
     ("refresh_control", "interval_index"):
         "every control interval has the same grid; the keyword stays because "
         "the acceptance tests (criterion 7) and perfbench/run.py pass it",
+    ("refresh_control", "reverify"):
+        "the embeddings take the relaxation they are given and never build one; "
+        "the keyword stays because the acceptance tests (criterion 7) and "
+        "perfbench/run.py pass reverify=False",
     ("prepare", "Wlo"):
         "part of the plug-in prepare(Ulo, Uhi, Wlo, Whi) signature that "
         "embedding._check_arity enforces; the vehicle has no disturbance",
